@@ -39,6 +39,11 @@ Environment:
 * ``SMOKE_MULTICONFIG_FLOOR`` — required build-once-query-many
   reuse-distance-profile speedup vs per-config streaming replay over
   the 16-machine associativity/TLB grid (default 3).
+
+At the figures' default size (standard/L_Z, n=250) one profile build
+must cost at most ``BUILD_OVER_STREAM_CEILING`` (10) streaming
+simulations of the same trace; the ratio is recorded as
+``multiconfig.build_over_stream``.
 """
 
 from __future__ import annotations
@@ -70,6 +75,11 @@ from repro.obs.manifest import build_manifest
 N = 256
 TILE = 16
 TARGET = int(os.environ.get("SMOKE_ACCESSES", 1_000_000))
+
+# The figures' default size, and the most one profile build there may
+# cost in streaming simulations of the same trace.
+DEFAULT_N = 250
+BUILD_OVER_STREAM_CEILING = 10.0
 
 
 def timed(fn, *args, repeats: int = 3):
@@ -409,6 +419,38 @@ def main(argv=None) -> None:
         f"per-config replay"
     )
     print(f"multiconfig speedup floor {mc_floor}x: OK")
+
+    # Default figure size: one profile build against one streaming
+    # simulation of the same n=250 trace.  Small grids hide the cost of
+    # long reuse windows, so the build must hold its ceiling here too.
+    d_addresses = cached_multiply_trace(
+        "standard", "LZ", DEFAULT_N, TILE, mach, store=store
+    )
+    build_seconds, d_profile = timed(build_profile, d_addresses, mach, repeats=1)
+    stream_seconds, d_streamed = timed(
+        simulate_hierarchy, d_addresses, mach, repeats=1
+    )
+    assert d_profile.query(mach) == d_streamed, (
+        f"n={DEFAULT_N} profile-derived stats diverged from streaming"
+    )
+    build_over_stream = build_seconds / stream_seconds
+    results["multiconfig"].update(
+        default_n=DEFAULT_N,
+        default_accesses=int(d_addresses.size),
+        default_build_seconds=round(build_seconds, 3),
+        default_stream_seconds=round(stream_seconds, 3),
+        build_over_stream=round(build_over_stream, 2),
+    )
+    print(
+        f"multiconfig n={DEFAULT_N} ({d_addresses.size:,d} accesses): build "
+        f"{build_seconds:.3f}s, stream {stream_seconds:.3f}s, "
+        f"{build_over_stream:.2f}x"
+    )
+    assert build_over_stream <= BUILD_OVER_STREAM_CEILING, (
+        f"multiconfig: n={DEFAULT_N} build costs {build_over_stream:.2f} "
+        f"streaming runs > ceiling {BUILD_OVER_STREAM_CEILING}"
+    )
+    print(f"multiconfig build/stream ceiling {BUILD_OVER_STREAM_CEILING}x: OK")
 
     results["trace_cache"].update(store.counters())
     results["provenance"] = build_manifest(

@@ -346,6 +346,14 @@ declare_budget(
     "streaming replay over the perf_smoke machine grid.",
 )
 declare_budget(
+    "multiconfig.build_over_stream",
+    "lower_better",
+    0.60,
+    "One reuse-profile build of the default-size (n=250) standard/LZ "
+    "trace, in streaming simulations of the same trace; perf_smoke also "
+    "asserts a hard ceiling of 10.",
+)
+declare_budget(
     "multiconfig.total_misses",
     "exact",
     0.0,

@@ -43,12 +43,15 @@ The stack-distance decision is computed in four tiers, all exact:
    fully-contained block of a fixed time grid (length ``4C``) bounds it
    from below; per-block counts are one ``bincount`` pass.
 4. **Exact residual.**  Whatever the bounds leave undecided (windows
-   whose distinct count sits near C) is resolved exactly by
-   :func:`_window_distinct` — padded two-dimensional window gathers
-   with reused buffers, counting accesses whose key first appears
-   inside the window.  If an adversarial trace makes the residual
-   volume explode, a capped scalar LRU-stack walk keeps the engine
-   exact at roughly the reference engine's cost.
+   whose distinct count sits near C) is counted exactly.  The distinct
+   count of window ``(p, i)`` is the number of its accesses whose key
+   first appears inside it, i.e. ``#{p < j < i : prev(j) <= p}``.
+   Small total window volumes gather the windows
+   (:func:`_window_distinct` — padded two-dimensional gathers with
+   reused buffers); large ones answer the same dominance counts for
+   all windows at once with a wavelet matrix over ``prev``
+   (:func:`_wavelet_distinct`), in a fixed number of whole-array
+   passes whatever the window lengths.
 
 Keys are grouped with a one- or two-pass 16-bit radix argsort
 (:func:`stable_argsort_bounded`) because NumPy's stable sort is
@@ -59,6 +62,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import obs
 from repro.memsim.machine import CacheGeometry
 
 __all__ = [
@@ -73,7 +77,7 @@ __all__ = [
 ]
 
 # Residual windows are resolved by gathering their contents; beyond this
-# many gathered elements the scalar capped-stack fallback is cheaper.
+# many gathered elements the wavelet dominance count is cheaper.
 _RESIDUAL_BUDGET = 1 << 24
 
 # Padded-window gathers process this many elements per chunk so buffers
@@ -192,63 +196,102 @@ def _window_distinct(prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return out
 
 
-def _scalar_capped_fallback(
-    keys: np.ndarray, prev: np.ndarray, idx: np.ndarray, capacity: int
+def _range_count_less(
+    values: np.ndarray,
+    starts: np.ndarray,
+    ends: np.ndarray,
+    thresholds: np.ndarray,
 ) -> np.ndarray:
-    """Exact fallback for adversarial traces: one LRU-stack dict walk,
-    recording hits only at the flagged indices."""
-    flagged = np.zeros(keys.size, dtype=bool)
-    flagged[idx] = True
-    flags = flagged.tolist()
-    out = np.zeros(keys.size, dtype=bool)
-    stack: dict[int, None] = {}
-    for k, key in enumerate(keys.tolist()):
-        if key in stack:
-            del stack[key]
-            if flags[k]:
-                out[k] = True
-        elif len(stack) >= capacity:
-            del stack[next(iter(stack))]
-        stack[key] = None
-    return out[idx]
+    """Offline range counts ``#{starts[q] <= j < ends[q] : values[j] <
+    thresholds[q]}`` for every query ``q`` by one wavelet-matrix walk.
 
-
-def _scalar_stack_distances(keys: np.ndarray) -> np.ndarray:
-    """Exact per-access stack distances by one Fenwick-tree walk.
-
-    A 1-bit marks the *latest* occurrence position of every key seen so
-    far; the distinct count of the reuse window ``(p, i)`` is then the
-    number of set bits in positions ``p+1 .. i-1``.  O(n log n), used
-    only when the windowed gathers of :func:`stack_distances` would
-    exceed the residual budget.
+    A wavelet matrix (named for the 2015 Information Systems paper)
+    stores one stable 0/1 partition of ``values`` per bit level, most
+    significant first.  Every query descends the levels in lockstep: at each level
+    its ``[s, e)`` range maps through the zero-rank to the zero or one
+    half of the next level, following the threshold's bit, and a 1-bit
+    adds the range's zero count (values that agree on the higher bits
+    and are smaller here).  A level is one bit extract, one ``cumsum``
+    rank, two gathers at the query endpoints and one stable partition —
+    whole-array numpy passes, ``ceil(log2(max + 1))`` of them, and no
+    per-element Python loop.  Empty ranges (``ends <= starts``) count 0.
     """
-    keys = np.asarray(keys)
-    n = keys.size
-    sd = np.full(n, -1, dtype=np.int32)
-    tree = [0] * (n + 1)
-    last: dict[int, int] = {}
+    values = np.asarray(values)
+    starts = np.asarray(starts, dtype=np.intp)
+    q = starts.size
+    count = np.zeros(q, dtype=np.int64)
+    n = values.size
+    if q == 0 or n == 0:
+        return count
+    lo = int(values.min())
+    top = int(values.max()) - lo
+    x = np.clip(np.asarray(thresholds, dtype=np.int64) - lo, 0, top + 1)
+    # Narrow dtypes halve the bytes every level's passes move.
+    cur = (values - lo).astype(np.min_scalar_type(top + 1))
+    s = starts.copy()
+    e = np.maximum(np.asarray(ends, dtype=np.intp), s)
+    buf = np.empty_like(cur)
+    rank0 = np.zeros(n + 1, dtype=np.int32)
+    for level in range((top + 1).bit_length() - 1, -1, -1):
+        one = (cur & (1 << level)) != 0
+        zero = ~one
+        np.cumsum(zero, out=rank0[1:])
+        n_zero = int(rank0[n])
+        zs = rank0[s]
+        ze = rank0[e]
+        up = (x & (1 << level)) != 0
+        count += np.where(up, ze - zs, 0)
+        s = np.where(up, s - zs + n_zero, zs)
+        e = np.where(up, e - ze + n_zero, ze)
+        if level:
+            np.compress(zero, cur, out=buf[:n_zero])
+            np.compress(one, cur, out=buf[n_zero:])
+            cur, buf = buf, cur
+    return count
 
-    def add(i: int, d: int) -> None:
-        i += 1
-        while i <= n:
-            tree[i] += d
-            i += i & -i
 
-    def prefix(i: int) -> int:  # set bits at positions < i
-        s = 0
-        while i > 0:
-            s += tree[i]
-            i -= i & -i
-        return s
+def _wavelet_distinct(prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Exact distinct-key counts of the reuse windows ``(prev[i], i)``
+    as dominance counts, for any window volume.
 
-    for i, key in enumerate(keys.tolist()):
-        p = last.get(key, -1)
-        if p >= 0:
-            sd[i] = prefix(i) - prefix(p + 1)
-            add(p, -1)
-        add(i, 1)
-        last[key] = i
-    return sd
+    The window ``(p, i)`` holds one first-in-window access per distinct
+    key: exactly the ``j`` in it with ``prev[j] <= p``.  That is a range
+    "count values below a threshold" query answered for all windows at
+    once by :func:`_range_count_less`.  The stream is first cut at every
+    position no reuse window crosses (a suffix minimum of ``prev``);
+    measured from its segment's start, a value needs only as many bits
+    as the longest segment — a set-grouped stream's set segments — which
+    shortens the level walk from ``log2(n)`` levels to ``log2`` of the
+    segment length.
+    """
+    n = prev.size
+    pos = np.arange(n, dtype=np.int32)
+    reach = np.where(prev >= 0, prev, np.int32(n))
+    uncrossed = np.minimum.accumulate(reach[::-1])[::-1] >= pos
+    seg_start = np.maximum.accumulate(np.where(uncrossed, pos, 0))
+    # First touches become 0, reuses 1 + their offset in the segment.
+    local = np.maximum(prev - seg_start + 1, 0)
+    thr = prev[idx]
+    return _range_count_less(
+        local, thr + 1, idx, thr - seg_start[idx] + 2
+    ).astype(np.int32)
+
+
+def _distinct_counts(prev: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    """Exact distinct-key counts of the reuse windows ending at ``idx``.
+
+    Short total window volumes gather their windows
+    (:func:`_window_distinct`, the faster path on small traces); past
+    :data:`_RESIDUAL_BUDGET` gathered elements the wavelet dominance
+    count (:func:`_wavelet_distinct`) answers them in a fixed number of
+    whole-array passes.
+    """
+    volume = int((idx.astype(np.int64) - prev[idx] - 1).sum())
+    if volume <= _RESIDUAL_BUDGET:
+        return _window_distinct(prev, idx)
+    obs.add("engines.wavelet_calls")
+    obs.add("engines.wavelet_queries", int(idx.size))
+    return _wavelet_distinct(prev, idx)
 
 
 def stack_distances(keys: np.ndarray, prev: np.ndarray | None = None) -> np.ndarray:
@@ -259,9 +302,8 @@ def stack_distances(keys: np.ndarray, prev: np.ndarray | None = None) -> np.ndar
     fully-associative LRU of capacity ``C`` iff its distance is below
     ``C``, so one distance array answers every capacity at once
     (Mattson).  Reuses the engine's lockstep-chain machinery: only each
-    chain's base pays a from-scratch :func:`_window_distinct` count, the
-    members resolve by the exact sliding-window recurrence, and an
-    adversarial residual volume falls back to an exact Fenwick walk.
+    chain's base pays a from-scratch :func:`_distinct_counts` count, and
+    the members resolve by the exact sliding-window recurrence.
     """
     keys = np.asarray(keys)
     n = keys.size
@@ -280,10 +322,7 @@ def stack_distances(keys: np.ndarray, prev: np.ndarray | None = None) -> np.ndar
     if und.size > 1:
         chain[1:] = (np.diff(und) == 1) & (np.diff(p_u) == 1)
     bases = und[~chain]
-    base_volume = int((bases.astype(np.int64) - prev[bases] - 1).sum())
-    if base_volume > _RESIDUAL_BUDGET:
-        return _scalar_stack_distances(keys)
-    sd_bases = _window_distinct(prev, bases)
+    sd_bases = _distinct_counts(prev, bases)
     pos = np.arange(n, dtype=np.int32)
     nxt = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
     nxt[prev[has_prev]] = pos[has_prev]
@@ -328,10 +367,10 @@ def set_stack_distances(lines: np.ndarray, n_sets: int) -> np.ndarray:
     return sd
 
 
-def _lru_hit_core(keys: np.ndarray, prev: np.ndarray, capacity: int) -> np.ndarray:
-    """Boolean hit mask of a fully-associative LRU(capacity) over keys,
-    given the previous-occurrence chain."""
-    n = keys.size
+def _lru_hit_core(prev: np.ndarray, capacity: int) -> np.ndarray:
+    """Boolean hit mask of a fully-associative LRU(capacity) over a key
+    stream, given its previous-occurrence chain."""
+    n = prev.size
     if n == 0 or capacity <= 0:
         return np.zeros(n, dtype=bool)
     prev = prev.astype(np.int32, copy=False)
@@ -360,12 +399,7 @@ def _lru_hit_core(keys: np.ndarray, prev: np.ndarray, capacity: int) -> np.ndarr
         in_run = run_len[run_id] >= 2
         base_mask = ~chain & in_run
         bases = und[base_mask]
-        base_volume = int((bases.astype(np.int64) - prev[bases] - 1).sum())
-        if base_volume > _RESIDUAL_BUDGET:
-            # Chains won't pay: one exact scalar walk decides everything.
-            hits[und] = _scalar_capped_fallback(keys, prev, und, capacity)
-            return hits
-        sd_bases = _window_distinct(prev, bases)
+        sd_bases = _distinct_counts(prev, bases)
         hits[bases] = sd_bases < capacity
         nxt = np.full(n, np.iinfo(np.int32).max, dtype=np.int32)
         nxt[prev[has_prev]] = pos[has_prev]
@@ -422,14 +456,8 @@ def _lru_hit_core(keys: np.ndarray, prev: np.ndarray, capacity: int) -> np.ndarr
     residual = iso[bound < capacity]
     if residual.size == 0:
         return hits
-    # Tier 4: exact windowed counting for the undecided few.
-    volume = int(
-        (residual.astype(np.int64) - prev[residual].astype(np.int64) - 1).sum()
-    )
-    if volume > _RESIDUAL_BUDGET:
-        hits[residual] = _scalar_capped_fallback(keys, prev, residual, capacity)
-    else:
-        hits[residual] = _window_distinct(prev, residual) < capacity
+    # Tier 4: exact distinct counts for the undecided few.
+    hits[residual] = _distinct_counts(prev, residual) < capacity
     return hits
 
 
@@ -439,8 +467,7 @@ def lru_hit_mask(keys: np.ndarray, capacity: int) -> np.ndarray:
     keys = np.asarray(keys)
     if keys.size == 0:
         return np.zeros(0, dtype=bool)
-    prev = prev_occurrence(keys)
-    return _lru_hit_core(keys, prev, capacity)
+    return _lru_hit_core(prev_occurrence(keys), capacity)
 
 
 def fully_associative_hits(keys: np.ndarray, capacity: int) -> np.ndarray:

@@ -6,7 +6,7 @@ LRU walk): every test here asserts full miss-mask equality, not summary
 statistics, across associativities 1, 2, 4, 8 and fully-associative,
 including the adversarial patterns (cyclic thrash just above capacity)
 that exercise the lockstep-chain tier, and forced tiny budgets that
-exercise the scalar fallback.
+exercise the wavelet dominance count.
 """
 
 import numpy as np
@@ -106,10 +106,14 @@ class TestFullyAssociative:
 
 class TestScalarFallback:
     def test_forced_fallback_is_exact(self, monkeypatch):
-        # Shrink the residual budget so the capped dict walk runs.
+        # Shrink the residual budget so the wavelet count decides, both
+        # for lockstep-chain bases (the cyclic tail) and for the
+        # isolated residual (the random head).
         monkeypatch.setattr(engines, "_RESIDUAL_BUDGET", 8)
         rng = np.random.default_rng(3)
-        keys = rng.integers(0, 300, 4000).astype(np.int64)
+        keys = np.concatenate(
+            [rng.integers(0, 300, 4000), np.tile(np.arange(300, 348), 40)]
+        ).astype(np.int64)
         for cap in (4, 32, 128):
             assert np.array_equal(
                 lru_hit_mask(keys, cap), oracle_fa_hits(keys.tolist(), cap)
@@ -117,7 +121,7 @@ class TestScalarFallback:
 
     def test_chain_gate_off_path(self):
         # A pure cycle with period just above capacity defeats distance
-        # bounds; only the chain tier (or fallback) decides it exactly.
+        # bounds; only the chain tier decides it exactly.
         for cap in (31, 32, 33):
             keys = np.tile(np.arange(33, dtype=np.int64), 40)
             assert np.array_equal(

@@ -7,7 +7,7 @@ asserts full equality of :class:`MemoryStats` (integers and the float
 cycle total), not summary statistics, across random traces and
 (associativity, set count, block size, capacity) grids — plus the
 chunk-boundary, single-set and degenerate edge cases, and the forced
-scalar fallback of the stack-distance kernel.
+wavelet branch of the stack-distance kernel.
 """
 
 import io
@@ -18,11 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.memsim import engines
-from repro.memsim.engines import (
-    _scalar_stack_distances,
-    set_stack_distances,
-    stack_distances,
-)
+from repro.memsim.engines import set_stack_distances, stack_distances
 from repro.memsim.hierarchy import (
     simulate_hierarchy,
     simulate_hierarchy_chunked,
@@ -42,6 +38,7 @@ from repro.memsim.multiconfig import (
     ReuseProfile,
     build_profile,
 )
+from tests.oracles import scalar_stack_distances
 
 
 def oracle_stack_distances(keys):
@@ -83,7 +80,7 @@ class TestStackDistances:
     def test_scalar_fallback_matches_oracle(self, keys):
         arr = np.array(keys, dtype=np.int64)
         assert np.array_equal(
-            _scalar_stack_distances(arr), oracle_stack_distances(keys)
+            scalar_stack_distances(arr), oracle_stack_distances(keys)
         )
 
     @given(key_lists, st.integers(1, 64))
@@ -109,8 +106,10 @@ class TestStackDistances:
         rng = np.random.default_rng(7)
         keys = rng.integers(0, 500, 4000)
         want = stack_distances(keys)
+        # A tiny budget sends every chain base to the wavelet count.
         monkeypatch.setattr(engines, "_RESIDUAL_BUDGET", 1)
         assert np.array_equal(stack_distances(keys), want)
+        assert np.array_equal(want, scalar_stack_distances(keys))
 
     def test_empty_and_degenerate(self):
         assert stack_distances(np.zeros(0, dtype=np.int64)).size == 0
