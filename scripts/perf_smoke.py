@@ -55,7 +55,8 @@ import time
 
 import numpy as np
 
-from repro.analysis.parallel import fig4_points, run_sweep
+from repro.analysis.figures import FIGURES
+from repro.analysis.parallel import run_sweep
 from repro.layouts.registry import PAPER_LAYOUTS
 from repro.memsim.cache import LRUCache, simulate_direct_mapped
 from repro.memsim.engines import lru_hit_mask, simulate_set_associative
@@ -327,10 +328,10 @@ def main(argv=None) -> None:
     # pay identical simulation cost and the ratio isolates the pool).
     sweep_jobs = int(os.environ.get("SMOKE_JOBS", "4"))
     cpus = os.cpu_count() or 1
-    points = fig4_points(
-        n=96, tiles=(4, 8, 16, 32), algorithm="standard", layout="LZ",
-        repeats=1, machine=mach, include_memsim=True,
-    )
+    fig4 = FIGURES["fig4"]
+    points = fig4.sweep(fig4.resolve(
+        dict(n=96, tiles=(4, 8, 16, 32), repeats=1, machine=mach)
+    ))
     run_sweep(points, jobs=1)  # warm the store
     t0 = time.perf_counter()
     serial_rows = run_sweep(points, jobs=1)

@@ -15,6 +15,9 @@ routine the paper stays call-compatible with.  Internally it:
    (``layout="LC"`` keeps canonical storage: the paper's baseline);
 5. converts back, applying ``alpha``/``beta`` at the dense interface.
 
+Empty dimensions follow BLAS: ``m == 0`` or ``n == 0`` gives an empty
+``C``, and ``k == 0`` gives ``beta * C`` (zeros when ``beta`` is 0).
+
 Returns a :class:`DgemmResult` carrying the output and a full cost
 breakdown (conversion vs. compute time, operation counters, pad ratio).
 """
@@ -85,8 +88,8 @@ class DgemmResult:
 
     @property
     def pad_ratio(self) -> float:
-        """Padded C area over logical area, minus one."""
-        return self.tiling.tiling_c().pad_ratio
+        """Padded C area over logical area, minus one (0 when C is empty)."""
+        return self.tiling.tiling_c().pad_ratio if self.m and self.n else 0.0
 
 
 def _op_dims(a: np.ndarray, op: str) -> tuple[int, int]:
@@ -145,7 +148,15 @@ def dgemm(
 
     trange = trange or TileRange()
     layout = layout.upper()
-    if tile is not None:
+    # BLAS contract: an empty product adds nothing, so C is empty (m or
+    # n is 0) or just beta * C (k is 0, whatever alpha is); no tiling
+    # exists to plan.
+    empty = 0 in (m, k, n)
+    if empty:
+        alpha = 1.0
+        tiling = MatmulTiling(0, m, k, n, m, k, n)
+        partition = PartitionPlan(m, k, n, 1, 1, 1, tiling)
+    elif tile is not None:
         tiling = matmul_tiling_for_fixed_tile(m, k, n, tile)
         partition = PartitionPlan(m, k, n, 1, 1, 1, tiling)
     else:
@@ -161,7 +172,7 @@ def dgemm(
     with instrument.collect() as counted:
         # Group block products by output block so k-blocks accumulate into
         # one converted C target before converting back once.
-        blocks = partition.block_products()
+        blocks = [] if empty else partition.block_products()
         by_output: dict[tuple, list] = {}
         for bp in blocks:
             by_output.setdefault((bp.row_range, bp.col_range), []).append(bp)

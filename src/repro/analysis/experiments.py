@@ -5,8 +5,12 @@ harness, the examples, and the tests consume the same code path.  The
 scales default to laptop-friendly sizes; the paper-scale parameters are
 documented per driver and accepted as arguments.
 
-The grid-shaped drivers (fig4/fig5/fig6/fig6sim) decompose into sweep
-points executed by :mod:`repro.analysis.parallel`: a ``jobs`` argument
+Each driver's signature is the one declaration of its figure's
+parameters and defaults; :mod:`repro.analysis.figures` registers the
+driver with its point grid, merge step and table, and the CLI and the
+simulation service derive from that registry.  The sweep drivers
+(fig4/fig5/fig6/fig6sim/fig6ms) decompose into sweep points executed
+by :mod:`repro.analysis.parallel`: a ``jobs`` argument
 (default: ``REPRO_JOBS`` env, else ``os.cpu_count()``) fans the points
 out over a process pool; ``jobs=1`` is the original serial path.
 Results are identical for every ``jobs`` value — the golden-figure
@@ -22,14 +26,7 @@ import numpy as np
 from repro import obs
 from repro.algorithms.dgemm import dgemm
 from repro.algorithms.locality import footprint_counts
-from repro.analysis.parallel import (
-    fig4_points,
-    fig5_points,
-    fig6_points,
-    fig6ms_points,
-    fig6sim_points,
-    run_sweep,
-)
+from repro.analysis.parallel import run_sweep
 from repro.analysis.timing import measure
 from repro.layouts.curves import dilation_profile
 from repro.layouts.registry import PAPER_LAYOUTS
@@ -96,13 +93,32 @@ def fig2_layouts(order: int = 3) -> list[dict]:
     return rows
 
 
+def _sweep(figure: str, args: dict) -> list[dict]:
+    """Run one sweep figure of :data:`repro.analysis.figures.FIGURES`:
+    its point grid through :func:`run_sweep`, then its merge step.
+
+    ``args`` are the driver's own arguments (its ``locals()`` on entry),
+    so the driver signature stays the one declaration of the figure's
+    parameters and defaults.
+    """
+    from repro.analysis.figures import FIGURES  # the registry imports this module
+
+    spec = FIGURES[figure]
+    jobs = args.pop("jobs")
+    points = spec.sweep(args)
+    scalars = {k: v for k, v in args.items() if isinstance(v, (int, str))}
+    with obs.span(figure, points=len(points), **scalars):
+        raw = run_sweep(points, jobs=jobs)
+    return spec.merge(raw, args) if spec.merge else raw
+
+
 def fig4_tile_size_sweep(
     n: int = 256,
-    tiles: Sequence[int] | None = None,
+    tiles: Sequence[int] = (4, 8, 16, 32, 64, 128),
     algorithm: str = "standard",
     layout: str = "LZ",
     repeats: int = 3,
-    machine: MachineModel | None = None,
+    machine: MachineModel = ultrasparc_like(),
     include_memsim: bool = True,
     jobs: int | None = None,
 ) -> list[dict]:
@@ -110,25 +126,18 @@ def fig4_tile_size_sweep(
 
     Paper scale: n=1024, t in {1..512} (and n=1536, t in {3..768}), one
     processor.  Default here: n=256 wall-clock with the memory simulator
-    alongside; expect the time to fall steeply as t grows out of the
-    recursion-overhead regime, flatten over a basin, and rise once the
-    three-tile working set overflows L1.
+    alongside; tile sizes above ``n`` are skipped.  Expect the time to
+    fall steeply as t grows out of the recursion-overhead regime,
+    flatten over a basin, and rise once the three-tile working set
+    overflows L1.
     """
-    if tiles is None:
-        tiles = [t for t in (4, 8, 16, 32, 64, 128) if t <= n]
-    machine = machine or ultrasparc_like()
-    points = fig4_points(
-        n=n, tiles=tiles, algorithm=algorithm, layout=layout,
-        repeats=repeats, machine=machine, include_memsim=include_memsim,
-    )
-    with obs.span("fig4", n=n, algorithm=algorithm, layout=layout, repeats=repeats):
-        return run_sweep(points, jobs=jobs)
+    return _sweep("fig4", locals())
 
 
 def fig5_robustness(
-    n_values: Sequence[int] | None = None,
+    n_values: Sequence[int] = tuple(range(248, 281, 4)),
     tile: int = 16,
-    machine: MachineModel | None = None,
+    machine: MachineModel = ultrasparc_like(),
     jobs: int | None = None,
 ) -> list[dict]:
     """E4 / Figure 5: sensitivity of memory cost to the matrix size n.
@@ -138,17 +147,12 @@ def fig5_robustness(
     standard and Strassen algorithms under L_C (unpadded, ld = n) and
     L_Z.  Expected shape: large reproducible swings for standard/L_C,
     strongly damped for standard/L_Z, flat for Strassen under both.
+
+    The grid pins one tile-grid regime across the sweep (the paper's
+    [1000,1048] range keeps d=5 with t = ceil(n/32)); the grid adapting
+    mid-sweep would step the leaf size and mask the per-n memory effects.
     """
-    if n_values is None:
-        n_values = list(range(248, 281, 4))
-    machine = machine or ultrasparc_like()
-    # The point generator pins one tile-grid regime across the sweep
-    # (the paper's [1000,1048] range keeps d=5 with t = ceil(n/32)); the
-    # grid adapting mid-sweep would step the leaf size and mask the
-    # per-n memory effects.
-    points = fig5_points(n_values=n_values, tile=tile, machine=machine)
-    with obs.span("fig5", tile=tile, points=len(points)):
-        return run_sweep(points, jobs=jobs)
+    return _sweep("fig5", locals())
 
 
 def fig6_layout_comparison(
@@ -156,7 +160,7 @@ def fig6_layout_comparison(
     algorithms: Sequence[str] = ("standard", "strassen", "winograd"),
     layouts: Sequence[str] = PAPER_LAYOUTS,
     procs: Sequence[int] = (1, 2, 4),
-    trange: TileRange | None = None,
+    trange: TileRange = TileRange(),
     repeats: int = 3,
     jobs: int | None = None,
 ) -> list[dict]:
@@ -170,13 +174,7 @@ def fig6_layout_comparison(
     L_C is clearly slower for the standard algorithm and roughly
     competitive for the fast ones; near-linear scaling to 4 processors.
     """
-    trange = trange or TileRange()
-    points = fig6_points(
-        n=n, algorithms=algorithms, layouts=layouts, procs=procs,
-        trange=trange, repeats=repeats,
-    )
-    with obs.span("fig6", n=n, repeats=repeats):
-        return run_sweep(points, jobs=jobs)
+    return _sweep("fig6", locals())
 
 
 def fig6_simulated(
@@ -184,7 +182,7 @@ def fig6_simulated(
     tile: int = 16,
     algorithms: Sequence[str] = ("standard", "strassen", "winograd"),
     layouts: Sequence[str] = PAPER_LAYOUTS,
-    machine: MachineModel | None = None,
+    machine: MachineModel = ultrasparc_like(),
     jobs: int | None = None,
 ) -> list[dict]:
     """E5 companion: simulated memory cost for every algorithm x layout.
@@ -197,13 +195,7 @@ def fig6_simulated(
     The default n=250 pads to 256 — mirroring how the paper's n=1000
     pads to a power-of-two leading dimension on its direct-mapped cache.
     """
-    machine = machine or ultrasparc_like()
-    points = fig6sim_points(
-        n=n, tile=tile, algorithms=algorithms, layouts=layouts, machine=machine,
-    )
-    with obs.span("fig6sim", n=n, tile=tile):
-        raw = run_sweep(points, jobs=jobs)
-    return fig6sim_merge(raw, n=n, algorithms=algorithms, layouts=layouts)
+    return _sweep("fig6sim", locals())
 
 
 def fig6sim_merge(
@@ -259,13 +251,7 @@ def fig6_machine_scaling(
     (``REPRO_MULTICONFIG=0`` replays each config through the streaming
     simulators instead; rows are byte-identical either way).
     """
-    points = fig6ms_points(
-        n=n, tile=tile, algorithms=algorithms, layouts=layouts,
-        l1_assocs=l1_assocs, l2_assocs=l2_assocs, tlb_entries=tlb_entries,
-    )
-    with obs.span("fig6ms", n=n, tile=tile, configs=len(points)):
-        raw = run_sweep(points, jobs=jobs)
-    return fig6ms_merge(raw, n=n, layouts=layouts)
+    return _sweep("fig6ms", locals())
 
 
 def fig6ms_merge(raw: list[dict], *, n: int, layouts: Sequence[str]) -> list[dict]:

@@ -10,9 +10,9 @@ configuration level.  This module provides the three pieces:
 * **Decomposition** — :class:`SweepPoint` names a registered module-level
   *point function* (by string key, so pickling works under every
   multiprocessing start method, including ``spawn``) plus its keyword
-  arguments as a sorted tuple.  ``fig4_points`` / ``fig5_points`` /
-  ``fig6_points`` / ``fig6sim_points`` generate the per-figure grids in
-  their canonical order.
+  arguments as a sorted tuple.  The per-figure grids are declared in
+  :mod:`repro.analysis.figures`, which builds them in canonical order
+  from the point functions registered here.
 * **Execution** — :func:`run_sweep` runs the points.  Worker count
   resolves as: explicit ``jobs`` argument, else the ``REPRO_JOBS``
   environment variable, else ``os.cpu_count()``.  ``jobs == 1`` is the
@@ -60,7 +60,6 @@ from repro.memsim.store import (
     cached_multiply_stats,
     cached_synthetic_stats,
     default_store,
-    trace_address,
 )
 
 __all__ = [
@@ -72,11 +71,6 @@ __all__ = [
     "run_sweep",
     "resolve_jobs",
     "merge_payloads",
-    "fig4_points",
-    "fig5_points",
-    "fig6_points",
-    "fig6sim_points",
-    "fig6ms_points",
 ]
 
 
@@ -385,31 +379,6 @@ def fig4_point(
     return row
 
 
-def fig4_points(
-    *,
-    n: int,
-    tiles: Sequence[int],
-    algorithm: str,
-    layout: str,
-    repeats: int,
-    machine: MachineModel,
-    include_memsim: bool,
-) -> list[SweepPoint]:
-    """Figure-4 grid: one point per tile size, in sweep order."""
-    return [
-        make_point(
-            "fig4", i, "fig4.point",
-            group=(
-                trace_address(algorithm, layout, n, t, machine)
-                if include_memsim
-                else None
-            ),
-            n=n, tile=t, algorithm=algorithm, layout=layout,
-            repeats=repeats, machine=machine, include_memsim=include_memsim,
-        )
-        for i, t in enumerate(tiles)
-    ]
-
 
 # -- figure 5: robustness scan -----------------------------------------
 
@@ -437,19 +406,6 @@ def fig5_point(*, n: int, tile: int, machine: MachineModel, depth: int) -> dict:
         "strassen_LZ": lz_str.cycles / flops,
     }
 
-
-def fig5_points(
-    *, n_values: Sequence[int], tile: int, machine: MachineModel
-) -> list[SweepPoint]:
-    """Figure-5 grid: one point per matrix size, pinned to one tile-grid
-    regime (the depth the smallest n implies — see the driver docstring)."""
-    n_values = list(n_values)
-    depth = max(0, (min(n_values) // tile).bit_length() - 1)
-    return [
-        make_point("fig5", i, "fig5.point", n=n, tile=tile, machine=machine,
-                   depth=depth)
-        for i, n in enumerate(n_values)
-    ]
 
 
 # -- figure 6: layout comparison (wall-clock + scheduler) --------------
@@ -490,28 +446,6 @@ def fig6_point(
     return row
 
 
-def fig6_points(
-    *,
-    n: int,
-    algorithms: Sequence[str],
-    layouts: Sequence[str],
-    procs: Sequence[int],
-    trange: TileRange,
-    repeats: int,
-) -> list[SweepPoint]:
-    """Figure-6 grid: algorithms x layouts, in the driver's nested order."""
-    points = []
-    for algo in algorithms:
-        for lay in layouts:
-            points.append(
-                make_point(
-                    "fig6", len(points), "fig6.point",
-                    n=n, algorithm=algo, layout=lay, procs=tuple(procs),
-                    trange=trange, repeats=repeats,
-                )
-            )
-    return points
-
 
 # -- figure 6 companion: simulated memory cost -------------------------
 
@@ -530,42 +464,29 @@ def fig6sim_point(
             "cycles": st.cycles}
 
 
-def fig6sim_points(
-    *,
-    n: int,
-    tile: int,
-    algorithms: Sequence[str],
-    layouts: Sequence[str],
-    machine: MachineModel,
-) -> list[SweepPoint]:
-    """Simulated layout-comparison grid, in the driver's nested order."""
-    points = []
-    for algo in algorithms:
-        for lay in layouts:
-            points.append(
-                make_point(
-                    "fig6sim", len(points), "fig6sim.point",
-                    group=trace_address(algo, lay, n, tile, machine),
-                    algorithm=algo, layout=lay, n=n, tile=tile, machine=machine,
-                )
-            )
-    return points
-
 
 # -- figure 6 machine scaling: one trace, many machine models ----------
 
 @point_function("fig6ms.point")
 def fig6ms_point(
-    *, algorithm: str, layout: str, n: int, tile: int, machine: MachineModel
+    *,
+    algorithm: str,
+    layout: str,
+    n: int,
+    tile: int,
+    l1_assoc: int,
+    l2_assoc: int,
+    tlb_entries: int,
 ) -> dict:
     """One machine-scaling point: miss rates of one algorithm x layout
-    on one associativity/TLB configuration.
+    on one :func:`~repro.memsim.machine.assoc_scaled` configuration.
 
     Every point of an (algorithm, layout) row group replays the *same*
     trace, so the grid is the multi-config profile's home turf: the
     first member builds the reuse-distance profile, the rest answer by
     histogram suffix-sums.
     """
+    machine = assoc_scaled(l1_assoc, l2_assoc, tlb_entries)
     with obs.span("fig6ms.point", algorithm=algorithm, layout=layout,
                   l1_assoc=machine.l1.assoc, l2_assoc=machine.l2.assoc):
         st = cached_multiply_stats(algorithm, layout, n, tile, machine)
@@ -583,37 +504,3 @@ def fig6ms_point(
         "tlb_misses": st.tlb_misses,
         "cycles": st.cycles,
     }
-
-
-def fig6ms_points(
-    *,
-    n: int,
-    tile: int,
-    algorithms: Sequence[str],
-    layouts: Sequence[str],
-    l1_assocs: Sequence[int],
-    l2_assocs: Sequence[int],
-    tlb_entries: Sequence[int],
-    machine_factory: Callable[[int, int, int], MachineModel] = assoc_scaled,
-) -> list[SweepPoint]:
-    """Machine-scaling grid: algorithm x layout x L1-way x L2-way x TLB,
-    grouped by trace content-address (machine axes share one trace)."""
-    points = []
-    for algo in algorithms:
-        for lay in layouts:
-            group = trace_address(
-                algo, lay, n, tile,
-                machine_factory(l1_assocs[0], l2_assocs[0], tlb_entries[0]),
-            )
-            for l1a in l1_assocs:
-                for l2a in l2_assocs:
-                    for tlb in tlb_entries:
-                        points.append(
-                            make_point(
-                                "fig6ms", len(points), "fig6ms.point",
-                                group=group,
-                                algorithm=algo, layout=lay, n=n, tile=tile,
-                                machine=machine_factory(l1a, l2a, tlb),
-                            )
-                        )
-    return points

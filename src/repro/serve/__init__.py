@@ -36,7 +36,6 @@ driver path (pinned against ``tests/golden/``), and the structural
 from repro.serve.client import ServeClient
 from repro.serve.jobs import Job, JobManager
 from repro.serve.protocol import (
-    FIGURES,
     ProtocolError,
     SweepRequest,
     build_sweep,
@@ -45,7 +44,6 @@ from repro.serve.protocol import (
 from repro.serve.server import ServeApp, make_server, run_server
 
 __all__ = [
-    "FIGURES",
     "Job",
     "JobManager",
     "ProtocolError",

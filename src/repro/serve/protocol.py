@@ -10,27 +10,25 @@ A sweep request is a small JSON document::
                 "machine": {"scaled": 4}},
      "jobs": 2}
 
-:func:`parse_request` validates it against the per-figure schema and
-normalizes it into a :class:`SweepRequest` whose ``params`` are in
-*canonical JSON form* (every default filled in, the machine spec
-expanded to the full :class:`~repro.memsim.machine.MachineModel`
-field dict).  Canonicalization is what makes coalescing work: the
-request key (:meth:`SweepRequest.key`) is a sha256 over the canonical
-payload, so two clients asking for the same sweep in different
-spellings (``"machine": "ultrasparc"`` vs. the explicit field dict,
-params in any order, defaults implicit or spelled out) land on the
-same key and share one execution.
+:func:`parse_request` validates it against the figure's parameters —
+read off its driver signature through the registry in
+:mod:`repro.analysis.figures` — and normalizes it into a
+:class:`SweepRequest` whose ``params`` are in *canonical JSON form*
+(every default filled in, the machine spec expanded to the full
+:class:`~repro.memsim.machine.MachineModel` field dict).
+Canonicalization is what makes coalescing work: the request key
+(:meth:`SweepRequest.key`) is a sha256 over the canonical payload, so
+two clients asking for the same sweep in different spellings
+(``"machine": "ultrasparc"`` vs. the explicit field dict, params in
+any order, defaults implicit or spelled out) land on the same key and
+share one execution.
 
 :func:`build_sweep` turns a validated request into the exact point
-grid the in-process figure drivers build — the *same* generator
-functions from :mod:`repro.analysis.parallel` and the same merge step
-(:func:`~repro.analysis.experiments.fig6sim_merge`), which is what
-makes served results byte-identical to the driver path (the black-box
-golden tests in ``tests/test_serve.py`` pin this).
-
-Figure parameter defaults mirror the driver signatures exactly, so an
-empty ``params`` serves the same grid ``python -m repro <figure>``
-prints.
+grid and merge step the in-process figure driver runs — the same
+registry entry — which is what makes served results byte-identical to
+the driver path (the black-box golden tests in ``tests/test_serve.py``
+pin this).  Defaults are the driver's, so an empty ``params`` serves
+the grid ``python -m repro <figure>`` prints.
 
 The ``fault`` figure exists only for the fault-injection test suite
 and is hidden unless ``REPRO_SERVE_TEST_HOOKS`` is set: its first
@@ -46,20 +44,13 @@ import hashlib
 import json
 import os
 import signal
-from typing import Any, Callable, Sequence
+from typing import Any, Callable
 
 from repro import knobs
+# Re-exported: the merge steps served sweeps run (through the registry).
 from repro.analysis.experiments import fig6ms_merge, fig6sim_merge
-from repro.analysis.parallel import (
-    SweepPoint,
-    fig4_points,
-    fig5_points,
-    fig6_points,
-    fig6ms_points,
-    fig6sim_points,
-    point_function,
-)
-from repro.layouts.registry import PAPER_LAYOUTS
+from repro.analysis.figures import FIGURES, SWEEP_FIGURES, FigureSpec
+from repro.analysis.parallel import SweepPoint, point_function
 from repro.matrix.tile import TileRange
 from repro.memsim.machine import (
     CacheGeometry,
@@ -71,15 +62,17 @@ from repro.memsim.machine import (
 
 __all__ = [
     "PROTOCOL_VERSION",
-    "FIGURES",
     "ProtocolError",
     "SweepRequest",
     "build_sweep",
+    "fig6ms_merge",
+    "fig6sim_merge",
     "known_figures",
     "machine_from_dict",
     "machine_to_dict",
     "parse_request",
     "resolve_machine",
+    "served_figure",
 ]
 
 #: Bump when the request canonicalization changes incompatibly; part of
@@ -146,204 +139,127 @@ def machine_from_dict(fields: dict) -> MachineModel:
     return MachineModel(**payload)
 
 
-# -- per-parameter coercion --------------------------------------------
+# -- parameter kinds ---------------------------------------------------
 
 
 def _is_int(value: Any) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _pos_int(params: dict, name: str, default: int) -> int:
-    value = params.get(name, default)
-    if not _is_int(value) or value < 1:
-        raise ProtocolError(f"param {name!r} must be a positive integer")
-    return value
+#: Annotation of a non-negative integer parameter (``int`` ones must be
+#: positive).
+Index = int
 
-
-def _int_list(params: dict, name: str, default: Sequence[int]) -> list[int]:
-    value = params.get(name, list(default))
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(_is_int(v) and v >= 1 for v in value)
-    ):
-        raise ProtocolError(
-            f"param {name!r} must be a non-empty list of positive integers"
-        )
-    return list(value)
-
-
-def _str_list(params: dict, name: str, default: Sequence[str]) -> list[str]:
-    value = params.get(name, list(default))
-    if (
-        not isinstance(value, list)
-        or not value
-        or not all(isinstance(v, str) for v in value)
-    ):
-        raise ProtocolError(f"param {name!r} must be a non-empty list of strings")
-    return list(value)
-
-
-def _name(params: dict, name: str, default: str) -> str:
-    value = params.get(name, default)
-    if not isinstance(value, str) or not value:
-        raise ProtocolError(f"param {name!r} must be a non-empty string")
-    return value
-
-
-def _flag(params: dict, name: str, default: bool) -> bool:
-    value = params.get(name, default)
-    if not isinstance(value, bool):
-        raise ProtocolError(f"param {name!r} must be a boolean")
-    return value
-
-
-def _machine(params: dict, name: str = "machine") -> dict:
-    """Normalized machine spec: default per-driver (ultrasparc)."""
-    spec = params.get(name, "ultrasparc")
-    return machine_to_dict(resolve_machine(spec))
-
-
-def _reject_unknown(params: dict, known: Sequence[str]) -> None:
-    unknown = sorted(set(params) - set(known))
-    if unknown:
-        raise ProtocolError(
-            f"unknown param(s) {unknown}; accepted: {sorted(known)}"
-        )
-
-
-# -- per-figure schemas ------------------------------------------------
-
-
-def _normalize_fig4(params: dict) -> dict:
-    _reject_unknown(params, (
-        "n", "tiles", "algorithm", "layout", "repeats", "machine",
-        "include_memsim",
-    ))
-    n = _pos_int(params, "n", 256)
-    return {
-        "n": n,
-        "tiles": _int_list(
-            params, "tiles", [t for t in (4, 8, 16, 32, 64, 128) if t <= n]
-        ),
-        "algorithm": _name(params, "algorithm", "standard"),
-        "layout": _name(params, "layout", "LZ"),
-        "repeats": _pos_int(params, "repeats", 3),
-        "machine": _machine(params),
-        "include_memsim": _flag(params, "include_memsim", True),
-    }
-
-
-def _normalize_fig5(params: dict) -> dict:
-    _reject_unknown(params, ("n_values", "tile", "machine"))
-    return {
-        "n_values": _int_list(params, "n_values", list(range(248, 281, 4))),
-        "tile": _pos_int(params, "tile", 16),
-        "machine": _machine(params),
-    }
-
-
-def _normalize_fig6(params: dict) -> dict:
-    _reject_unknown(params, (
-        "n", "algorithms", "layouts", "procs", "trange", "repeats",
-    ))
-    trange = params.get("trange")
-    if trange is None:
-        tr = TileRange()
-    else:
-        if (
-            not isinstance(trange, list)
-            or len(trange) != 2
-            or not all(_is_int(v) for v in trange)
-        ):
-            raise ProtocolError("param 'trange' must be [t_min, t_max]")
-        try:
-            tr = TileRange(*trange)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
-    return {
-        "n": _pos_int(params, "n", 200),
-        "algorithms": _str_list(
-            params, "algorithms", ("standard", "strassen", "winograd")
-        ),
-        "layouts": _str_list(params, "layouts", PAPER_LAYOUTS),
-        "procs": _int_list(params, "procs", (1, 2, 4)),
-        "trange": [tr.t_min, tr.t_max],
-        "repeats": _pos_int(params, "repeats", 3),
-    }
-
-
-def _normalize_fig6sim(params: dict) -> dict:
-    _reject_unknown(params, ("n", "tile", "algorithms", "layouts", "machine"))
-    return {
-        "n": _pos_int(params, "n", 250),
-        "tile": _pos_int(params, "tile", 16),
-        "algorithms": _str_list(
-            params, "algorithms", ("standard", "strassen", "winograd")
-        ),
-        "layouts": _str_list(params, "layouts", PAPER_LAYOUTS),
-        "machine": _machine(params),
-    }
-
-
-def _normalize_fig6ms(params: dict) -> dict:
-    _reject_unknown(params, (
-        "n", "tile", "algorithms", "layouts", "l1_assocs", "l2_assocs",
-        "tlb_entries",
-    ))
-    # Machine models are derived server-side (the assoc_scaled family),
-    # so every grid member shares one config family and one trace.
-    return {
-        "n": _pos_int(params, "n", 48),
-        "tile": _pos_int(params, "tile", 8),
-        "algorithms": _str_list(params, "algorithms", ("standard", "strassen")),
-        "layouts": _str_list(params, "layouts", ("LC", "LZ")),
-        "l1_assocs": _int_list(params, "l1_assocs", (1, 2, 4, 8)),
-        "l2_assocs": _int_list(params, "l2_assocs", (1, 4)),
-        "tlb_entries": _int_list(params, "tlb_entries", (8, 32)),
-    }
-
-
-def _normalize_fault(params: dict) -> dict:
-    if not knobs.flag("REPRO_SERVE_TEST_HOOKS"):
-        raise ProtocolError(
-            f"unknown figure 'fault'; known: {known_figures()}"
-        )
-    _reject_unknown(params, ("sentinel_dir", "points", "kill_index", "n", "tile"))
-    sentinel_dir = params.get("sentinel_dir")
-    if not isinstance(sentinel_dir, str) or not sentinel_dir:
-        raise ProtocolError("param 'sentinel_dir' is required for 'fault'")
-    points = _pos_int(params, "points", 2)
-    kill_index = params.get("kill_index", 0)
-    if not _is_int(kill_index) or not 0 <= kill_index < points:
-        raise ProtocolError("param 'kill_index' must be in [0, points)")
-    return {
-        "sentinel_dir": sentinel_dir,
-        "points": points,
-        "kill_index": kill_index,
-        "n": _pos_int(params, "n", 16),
-        "tile": _pos_int(params, "tile", 8),
-    }
-
-
-#: figure name -> params normalizer.  ``fault`` is hidden behind the
-#: test-hooks knob and never listed.
-_NORMALIZERS: dict[str, Callable[[dict], dict]] = {
-    "fig4": _normalize_fig4,
-    "fig5": _normalize_fig5,
-    "fig6": _normalize_fig6,
-    "fig6sim": _normalize_fig6sim,
-    "fig6ms": _normalize_fig6ms,
-    "fault": _normalize_fault,
+#: Parameter kind (the driver annotation, see :mod:`repro.analysis.figures`)
+#: -> (what a valid JSON value is, its check).  ``MachineModel`` values
+#: are checked by :func:`resolve_machine`.
+_KINDS: dict[str, tuple[str, Callable[[Any], bool]]] = {
+    "int": ("a positive integer", lambda v: _is_int(v) and v >= 1),
+    "Index": ("a non-negative integer", lambda v: _is_int(v) and v >= 0),
+    "bool": ("a boolean", lambda v: isinstance(v, bool)),
+    "str": ("a non-empty string", lambda v: isinstance(v, str) and bool(v)),
+    "Sequence[int]": (
+        "a non-empty list of positive integers",
+        lambda v: isinstance(v, list) and bool(v)
+        and all(_is_int(x) and x >= 1 for x in v),
+    ),
+    "Sequence[str]": (
+        "a non-empty list of strings",
+        lambda v: isinstance(v, list) and bool(v)
+        and all(isinstance(x, str) for x in v),
+    ),
+    "TileRange": (
+        "[t_min, t_max]",
+        lambda v: isinstance(v, list) and len(v) == 2 and all(map(_is_int, v)),
+    ),
+    "MachineModel": ("a machine spec", lambda v: True),
 }
 
-#: Publicly served figures (the 4xx error surface and ``/healthz``).
-FIGURES = ("fig4", "fig5", "fig6", "fig6sim", "fig6ms")
+
+def _decode(kind: str, value: Any) -> Any:
+    """A checked JSON value as the driver takes it."""
+    if kind == "MachineModel":
+        return resolve_machine(value)
+    if kind == "TileRange":
+        try:
+            return TileRange(*value)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
+    return value
+
+
+def _encode(value: Any) -> Any:
+    """A driver value in canonical JSON form (the request-key form)."""
+    if isinstance(value, MachineModel):
+        return machine_to_dict(value)
+    if isinstance(value, TileRange):
+        return [value.t_min, value.t_max]
+    if isinstance(value, (list, tuple)):
+        return list(value)
+    return value
+
+
+def _canonical(spec: FigureSpec, params: dict) -> dict:
+    """Checked ``params`` with every default filled in, in JSON form."""
+    unknown = sorted(set(params) - set(spec.params))
+    if unknown:
+        raise ProtocolError(
+            f"unknown param(s) {unknown}; accepted: {sorted(spec.params)}"
+        )
+    out = {}
+    for name, p in spec.params.items():
+        if name not in params:
+            if p.required:
+                raise ProtocolError(f"param {name!r} is required")
+            out[name] = _encode(p.default)
+            continue
+        what, check = _KINDS[p.kind]
+        if not check(params[name]):
+            raise ProtocolError(f"param {name!r} must be {what}")
+        out[name] = _encode(_decode(p.kind, params[name]))
+    return out
+
+
+def _fault(
+    sentinel_dir: str,
+    points: int = 2,
+    kill_index: Index = 0,
+    n: int = 16,
+    tile: int = 8,
+) -> list[dict]:
+    """Parameters of the hidden ``fault`` figure: served, never driven."""
+    raise NotImplementedError("the fault figure only runs as a served sweep")
+
+
+def _fault_points(figure: str, p: dict) -> list[SweepPoint]:
+    return [
+        SweepPoint(figure, i, "serve.fault.point", tuple(sorted({
+            "index": i, "sentinel_dir": p["sentinel_dir"],
+            "kill": i == p["kill_index"], "n": p["n"], "tile": p["tile"],
+        }.items())))
+        for i in range(p["points"])
+    ]
+
+
+#: The fault-injection figure, served only under the test-hooks knob.
+_FAULT = FigureSpec(
+    "fault", _fault, "fault injection (tests only)", "", (),
+    points=_fault_points,
+)
+
+
+def served_figure(name: Any) -> FigureSpec:
+    """The spec of a figure clients may request, else ProtocolError."""
+    if name in SWEEP_FIGURES:
+        return FIGURES[name]
+    if name == "fault" and knobs.flag("REPRO_SERVE_TEST_HOOKS"):
+        return _FAULT
+    raise ProtocolError(f"unknown figure {name!r}; known: {known_figures()}")
 
 
 def known_figures() -> list[str]:
     """Figure names a client may request (test hooks included when on)."""
-    out = list(FIGURES)
+    out = list(SWEEP_FIGURES)
     if knobs.flag("REPRO_SERVE_TEST_HOOKS"):
         out.append("fault")
     return out
@@ -389,10 +305,7 @@ def parse_request(body: Any) -> SweepRequest:
     if not isinstance(body, dict):
         raise ProtocolError("request body must be a JSON object")
     figure = body.get("figure")
-    if not isinstance(figure, str) or figure not in _NORMALIZERS:
-        raise ProtocolError(
-            f"unknown figure {figure!r}; known: {known_figures()}"
-        )
+    spec = served_figure(figure)
     params = body.get("params", {})
     if not isinstance(params, dict):
         raise ProtocolError("'params' must be a JSON object")
@@ -402,7 +315,7 @@ def parse_request(body: Any) -> SweepRequest:
     extras = sorted(set(body) - {"figure", "params", "jobs", "wait", "timeout_s"})
     if extras:
         raise ProtocolError(f"unknown request field(s) {extras}")
-    return SweepRequest(figure, _NORMALIZERS[figure](params), jobs)
+    return SweepRequest(spec.name, _canonical(spec, params), jobs)
 
 
 # -- decomposition -----------------------------------------------------
@@ -413,78 +326,20 @@ def build_sweep(
 ) -> tuple[list[SweepPoint], Callable[[list[dict]], list[dict]]]:
     """The request's point grid plus its row-merge step.
 
-    Uses the same generator functions the in-process drivers use, so a
-    served sweep is the driver's sweep: same points, same canonical
+    Uses the registry entry the in-process driver uses, so a served
+    sweep is the driver's sweep: same points, same canonical
     order, same merge — byte-identical rows.
     """
-    p = request.params
-    identity: Callable[[list[dict]], list[dict]] = lambda rows: rows
-    if request.figure == "fig4":
-        machine = machine_from_dict(p["machine"])
-        return (
-            fig4_points(
-                n=p["n"], tiles=p["tiles"], algorithm=p["algorithm"],
-                layout=p["layout"], repeats=p["repeats"], machine=machine,
-                include_memsim=p["include_memsim"],
-            ),
-            identity,
-        )
-    if request.figure == "fig5":
-        machine = machine_from_dict(p["machine"])
-        return (
-            fig5_points(
-                n_values=p["n_values"], tile=p["tile"], machine=machine
-            ),
-            identity,
-        )
-    if request.figure == "fig6":
-        return (
-            fig6_points(
-                n=p["n"], algorithms=p["algorithms"], layouts=p["layouts"],
-                procs=p["procs"], trange=TileRange(*p["trange"]),
-                repeats=p["repeats"],
-            ),
-            identity,
-        )
-    if request.figure == "fig6sim":
-        machine = machine_from_dict(p["machine"])
-        return (
-            fig6sim_points(
-                n=p["n"], tile=p["tile"], algorithms=p["algorithms"],
-                layouts=p["layouts"], machine=machine,
-            ),
-            lambda rows: fig6sim_merge(
-                rows, n=p["n"], algorithms=p["algorithms"],
-                layouts=p["layouts"],
-            ),
-        )
-    if request.figure == "fig6ms":
-        return (
-            fig6ms_points(
-                n=p["n"], tile=p["tile"], algorithms=p["algorithms"],
-                layouts=p["layouts"], l1_assocs=p["l1_assocs"],
-                l2_assocs=p["l2_assocs"], tlb_entries=p["tlb_entries"],
-            ),
-            lambda rows: fig6ms_merge(rows, n=p["n"], layouts=p["layouts"]),
-        )
-    if request.figure == "fault":
-        return (
-            [
-                SweepPoint(
-                    "fault", i, "serve.fault.point",
-                    tuple(sorted({
-                        "index": i,
-                        "sentinel_dir": p["sentinel_dir"],
-                        "kill": i == p["kill_index"],
-                        "n": p["n"],
-                        "tile": p["tile"],
-                    }.items())),
-                )
-                for i in range(p["points"])
-            ],
-            identity,
-        )
-    raise ProtocolError(f"unknown figure {request.figure!r}")  # unreachable
+    spec = served_figure(request.figure)
+    params = {
+        name: _decode(spec.params[name].kind, value)
+        for name, value in request.params.items()
+    }
+    points = spec.sweep(params)
+    if spec.merge is None:
+        return points, lambda rows: rows
+    merge = spec.merge
+    return points, lambda rows: merge(rows, params)
 
 
 @point_function("serve.fault.point")

@@ -128,7 +128,7 @@ class TestObsCommands:
 class TestSlowerCommands:
     @pytest.mark.slow
     def test_fig5_small(self, capsys):
-        assert main(["fig5", "--start", "60", "--stop", "68", "--step", "4",
+        assert main(["fig5", "--n-values", "60", "64", "68",
                      "--tile", "8"]) == 0
         assert "standard_LC" in capsys.readouterr().out
 

@@ -219,3 +219,37 @@ class TestDtypes:
         b = rng.standard_normal((16, 16))
         r = dgemm(a, b, tile=4)
         assert r.c.dtype == np.float64
+
+
+class TestEmptyDimensions:
+    """BLAS contract: m or n == 0 gives an empty C; k == 0 gives beta*C."""
+
+    SHAPES = [(0, 5, 4), (3, 0, 4), (3, 5, 0), (0, 0, 0)]
+
+    @pytest.mark.parametrize("algo", sorted(ALGORITHMS))
+    @pytest.mark.parametrize("layout", ["LC", "LU", "LX", "LZ", "LG", "LH"])
+    @pytest.mark.parametrize("alpha, beta", [(1.0, 0.0), (0.0, 0.0),
+                                             (2.5, 0.0), (0.0, 3.0),
+                                             (-1.0, 0.5)])
+    def test_empty_product(self, algo, layout, alpha, beta, rng):
+        for m, k, n in self.SHAPES:
+            a = rng.standard_normal((m, k))
+            b = rng.standard_normal((k, n))
+            c = rng.standard_normal((m, n)) if beta else None
+            r = dgemm(a, b, c=c, alpha=alpha, beta=beta, algorithm=algo,
+                      layout=layout)
+            expected = beta * c if beta else np.zeros((m, n))
+            assert r.c.shape == (m, n)
+            np.testing.assert_array_equal(r.c, expected)
+            assert r.counters.leaf_multiplies == 0
+            assert r.pad_ratio == 0.0
+
+    def test_k_zero_ignores_alpha_and_transposes(self):
+        c = np.arange(12.0).reshape(3, 4)
+        r = dgemm(np.ones((0, 3)), np.ones((4, 0)), c=c, alpha=np.inf,
+                  beta=-2.0, op_a="T", op_b="T")
+        np.testing.assert_array_equal(r.c, -2.0 * c)
+
+    def test_empty_with_forced_tile(self):
+        r = dgemm(np.ones((0, 8)), np.ones((8, 8)), tile=4)
+        assert r.c.shape == (0, 8)

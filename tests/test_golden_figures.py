@@ -1,7 +1,8 @@
 """Golden-figure regression tests: the sweep drivers are deterministic.
 
-Small-grid outputs of the fig4/fig5/fig6/fig6sim drivers are committed
-as JSON under ``tests/golden/``.  Each test regenerates its grid with
+Small-grid outputs of every sweep figure in the registry
+(:data:`repro.analysis.figures.FIGURES`) are committed as JSON under
+``tests/golden/``.  Each test regenerates its grid with
 ``REPRO_DETERMINISTIC_TIMING=1`` (wall-clock fields collapse to 0.0 —
 everything else is exact simulation) and asserts the serialized rows are
 *byte-identical* to the golden file — first serially, then under
@@ -19,13 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.experiments import (
-    fig4_tile_size_sweep,
-    fig5_robustness,
-    fig6_layout_comparison,
-    fig6_machine_scaling,
-    fig6_simulated,
-)
+from repro.analysis.figures import FIGURES, SWEEP_FIGURES
 from repro.matrix.tile import TileRange
 from repro.memsim.machine import scaled
 
@@ -33,29 +28,26 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 MACH = scaled(4)
 
+#: Small golden-grid params of every sweep figure in the registry; a
+#: sweep figure without an entry here (or without a golden file) fails.
+PARAMS = {
+    "fig4": dict(n=32, tiles=(4, 8), repeats=1, machine=MACH,
+                 include_memsim=True),
+    "fig5": dict(n_values=(56, 60, 64), tile=8, machine=MACH),
+    "fig6": dict(n=32, algorithms=("strassen",), layouts=("LZ", "LH"),
+                 procs=(1, 2), trange=TileRange(8, 16), repeats=1),
+    "fig6sim": dict(n=48, tile=8, algorithms=("standard", "strassen"),
+                    layouts=("LC", "LZ"), machine=MACH),
+    "fig6ms": dict(n=32, tile=8, algorithms=("standard", "strassen"),
+                   layouts=("LC", "LZ"), l1_assocs=(1, 2), l2_assocs=(1, 2),
+                   tlb_entries=(8,)),
+}
+
 #: name -> driver thunk; every thunk takes only ``jobs`` so the serial
 #: and parallel tests run the exact same grid.
 CASES = {
-    "fig4": lambda jobs: fig4_tile_size_sweep(
-        n=32, tiles=(4, 8), repeats=1, machine=MACH, include_memsim=True,
-        jobs=jobs,
-    ),
-    "fig5": lambda jobs: fig5_robustness(
-        n_values=(56, 60, 64), tile=8, machine=MACH, jobs=jobs,
-    ),
-    "fig6": lambda jobs: fig6_layout_comparison(
-        n=32, algorithms=("strassen",), layouts=("LZ", "LH"), procs=(1, 2),
-        trange=TileRange(8, 16), repeats=1, jobs=jobs,
-    ),
-    "fig6sim": lambda jobs: fig6_simulated(
-        n=48, tile=8, algorithms=("standard", "strassen"),
-        layouts=("LC", "LZ"), machine=MACH, jobs=jobs,
-    ),
-    "fig6ms": lambda jobs: fig6_machine_scaling(
-        n=32, tile=8, algorithms=("standard", "strassen"),
-        layouts=("LC", "LZ"), l1_assocs=(1, 2), l2_assocs=(1, 2),
-        tlb_entries=(8,), jobs=jobs,
-    ),
+    name: (lambda jobs, name=name: FIGURES[name].driver(**PARAMS[name], jobs=jobs))
+    for name in SWEEP_FIGURES
 }
 
 
@@ -101,6 +93,14 @@ def test_golden_parallel(name, jobs, request):
 #: The memsim-backed figures: their traces come from the symbolic
 #: synthesizer by default, from the executed tracer when it is off.
 SIM_CASES = ("fig4", "fig5", "fig6sim", "fig6ms")
+
+
+def test_every_sweep_figure_has_a_golden_file():
+    """A new sweep figure must bring its golden grid along."""
+    assert set(PARAMS) == set(SWEEP_FIGURES)
+    assert set(SIM_CASES) <= set(SWEEP_FIGURES)
+    for name in SWEEP_FIGURES:
+        assert (GOLDEN_DIR / f"{name}.json").exists(), name
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -2,6 +2,7 @@
 
 import ast
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -176,11 +177,12 @@ class TestReporters:
         assert data["violations"][0]["path"] == "scripts/bad.py"
 
 
-class TestShim:
-    def test_script_shim_delegates(self):
+class TestEntryPoint:
+    def test_repro_lint_subcommand(self):
+        env = dict(os.environ, PYTHONPATH=str(repo_root() / "src"))
         proc = subprocess.run(
-            [sys.executable, str(repo_root() / "scripts" / "lint_invariants.py")],
-            capture_output=True, text=True,
+            [sys.executable, "-m", "repro", "lint"],
+            capture_output=True, text=True, cwd=repo_root(), env=env,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "lint: OK" in proc.stdout

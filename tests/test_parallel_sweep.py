@@ -17,14 +17,10 @@ import pytest
 
 import repro.analysis.parallel as par
 from repro import knobs, obs
+from repro.analysis.figures import FIGURES, SWEEP_FIGURES
 from repro.analysis.parallel import (
     POINT_FUNCTIONS,
     SweepPoint,
-    fig4_points,
-    fig5_points,
-    fig6_points,
-    fig6ms_points,
-    fig6sim_points,
     make_point,
     merge_payloads,
     resolve_jobs,
@@ -40,27 +36,34 @@ from repro.obs.metrics import MetricsRegistry
 
 MACH = scaled(4)
 
-#: Small but complete grids from every generator, used by the pickle
-#: and registry tests below.
-GRIDS = {
-    "fig4": fig4_points(
-        n=32, tiles=(4, 8), algorithm="standard", layout="LZ", repeats=1,
-        machine=MACH, include_memsim=True,
-    ),
-    "fig5": fig5_points(n_values=(56, 64), tile=8, machine=MACH),
-    "fig6": fig6_points(
+#: Small but complete parameter sets for every sweep figure in the
+#: registry (a figure missing here fails collection).
+SMALL = {
+    "fig4": dict(n=32, tiles=(4, 8), repeats=1, machine=MACH),
+    "fig5": dict(n_values=(56, 64), tile=8, machine=MACH),
+    "fig6": dict(
         n=32, algorithms=("strassen",), layouts=("LZ", "LH"), procs=(1, 2),
         trange=TileRange(8, 16), repeats=1,
     ),
-    "fig6sim": fig6sim_points(
+    "fig6sim": dict(
         n=32, tile=8, algorithms=("standard",), layouts=("LC", "LZ"),
         machine=MACH,
     ),
-    "fig6ms": fig6ms_points(
+    "fig6ms": dict(
         n=32, tile=8, algorithms=("standard",), layouts=("LC", "LZ"),
         l1_assocs=(1, 2), l2_assocs=(1,), tlb_entries=(8,),
     ),
 }
+
+
+def _grid(fig, **overrides):
+    spec = FIGURES[fig]
+    return spec.sweep(spec.resolve({**SMALL[fig], **overrides}))
+
+
+#: The registry's grid of every sweep figure, used by the pickle and
+#: registry tests below.
+GRIDS = {fig: _grid(fig) for fig in SWEEP_FIGURES}
 
 
 @pytest.fixture
@@ -216,10 +219,7 @@ class TestGrouping:
         assert sorted(len(v) for v in by_group.values()) == [2, 2]
         assert None not in {p.group for p in GRIDS["fig6sim"]}
         # fig4 without memsim simulates nothing, so it never groups.
-        ungrouped = fig4_points(
-            n=32, tiles=(4, 8), algorithm="standard", layout="LZ", repeats=1,
-            machine=MACH, include_memsim=False,
-        )
+        ungrouped = _grid("fig4", include_memsim=False)
         assert all(p.group is None for p in ungrouped)
 
     def test_worker_call_batch_payload_shapes(self, fresh_store, monkeypatch):

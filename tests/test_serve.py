@@ -38,6 +38,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis.figures import FIGURES, SWEEP_FIGURES
 from repro.serve.client import ServeClient
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -127,13 +128,25 @@ def test_served_fig6sim_is_byte_identical_to_golden(server, jobs):
     assert _serialize(rows) == GOLDEN.read_bytes()
 
 
-def test_sweep_defaults_match_driver_defaults(server):
-    """An empty params dict is valid and fills in the driver defaults."""
-    code, payload = server.client.sweep("fig6sim", {"n": 16, "tile": 4},
-                                        jobs=1)
-    assert code == 200 and payload["status"] == "done"
-    # Default algorithms x default layouts = 3 x 6 rows.
-    assert len(payload["rows"]) == 18
+@pytest.mark.parametrize("figure", SWEEP_FIGURES)
+def test_sweep_defaults_match_driver_defaults(figure, monkeypatch):
+    """An empty params dict serves exactly the grid the driver runs at
+    its defaults: same points, same order, same sharing groups.  Checked
+    in-process on the protocol layer, so no default-size sweep runs."""
+    from repro.analysis import experiments
+    from repro.serve.protocol import build_sweep, parse_request
+
+    class Ran(Exception):
+        pass
+
+    def capture(points, jobs=None):
+        raise Ran(list(points))
+
+    monkeypatch.setattr(experiments, "run_sweep", capture)
+    with pytest.raises(Ran) as ran:
+        FIGURES[figure].driver(jobs=1)
+    served, _ = build_sweep(parse_request({"figure": figure, "params": {}}))
+    assert served == ran.value.args[0]
 
 
 # -- coalescing --------------------------------------------------------
