@@ -44,6 +44,12 @@ At the figures' default size (standard/L_Z, n=250) one profile build
 must cost at most ``BUILD_OVER_STREAM_CEILING`` (10) streaming
 simulations of the same trace; the ratio is recorded as
 ``multiconfig.build_over_stream``.
+
+The ``dgemm`` section times the wall-clock multiply (the paper's
+Figures 4, 6 and 7 measure it) for every algorithm x layout at
+n = 256, 512 and 1024, as seconds and as ``slowdown_vs_numpy`` over
+numpy's ``a @ b`` on the same operands.  Standard/L_Z at n=1024 must
+stay within ``DGEMM_SLOWDOWN_CEILING`` (5) times numpy.
 """
 
 from __future__ import annotations
@@ -55,6 +61,7 @@ import time
 
 import numpy as np
 
+from repro.algorithms.dgemm import dgemm
 from repro.analysis.figures import FIGURES
 from repro.analysis.parallel import run_sweep
 from repro.layouts.registry import PAPER_LAYOUTS
@@ -81,6 +88,14 @@ TARGET = int(os.environ.get("SMOKE_ACCESSES", 1_000_000))
 # cost in streaming simulations of the same trace.
 DEFAULT_N = 250
 BUILD_OVER_STREAM_CEILING = 10.0
+
+# Wall-clock dgemm sizes, and the most standard/L_Z may cost at the
+# largest one in multiples of numpy's a @ b.
+DGEMM_SIZES = (256, 512, 1024)
+DGEMM_ALGORITHMS = ("standard", "strassen", "winograd")
+DGEMM_SLOWDOWN_CEILING = 5.0
+#: Largest relative error (max-abs, over max |a @ b|) per algorithm.
+DGEMM_TOLERANCE = {"standard": 1e-12, "strassen": 1e-10, "winograd": 1e-10}
 
 
 def timed(fn, *args, repeats: int = 3):
@@ -452,6 +467,36 @@ def main(argv=None) -> None:
         f"streaming runs > ceiling {BUILD_OVER_STREAM_CEILING}"
     )
     print(f"multiconfig build/stream ceiling {BUILD_OVER_STREAM_CEILING}x: OK")
+
+    # Wall-clock dgemm: every algorithm x layout against numpy on the same
+    # operands, each result checked against numpy's.
+    dgemm_rng = np.random.default_rng(7)
+    results["dgemm"] = {}
+    for dn in DGEMM_SIZES:
+        a = dgemm_rng.standard_normal((dn, dn))
+        b = dgemm_rng.standard_normal((dn, dn))
+        numpy_seconds, ref = timed(lambda: a @ b, repeats=5)
+        scale = np.max(np.abs(ref))
+        line = []
+        for alg in DGEMM_ALGORITHMS:
+            for lay in PAPER_LAYOUTS:
+                sec, res = timed(lambda: dgemm(a, b, algorithm=alg, layout=lay))
+                err = np.max(np.abs(res.c - ref)) / scale
+                assert err <= DGEMM_TOLERANCE[alg], (
+                    f"dgemm {alg}/{lay} n={dn}: relative error {err:.3g}"
+                )
+                slowdown = sec / numpy_seconds
+                results["dgemm"].setdefault(alg, {}).setdefault(lay.lower(), {})[
+                    f"n{dn}"
+                ] = {"seconds": round(sec, 4), "slowdown_vs_numpy": round(slowdown, 2)}
+                line.append(f"{alg[:3]}/{lay} {slowdown:.1f}x")
+        print(f"dgemm n={dn} (numpy {numpy_seconds * 1e3:.1f} ms): " + " ".join(line))
+    gated = results["dgemm"]["standard"]["lz"][f"n{DGEMM_SIZES[-1]}"]
+    assert gated["slowdown_vs_numpy"] <= DGEMM_SLOWDOWN_CEILING, (
+        f"dgemm standard/LZ n={DGEMM_SIZES[-1]}: {gated['slowdown_vs_numpy']}x "
+        f"numpy > ceiling {DGEMM_SLOWDOWN_CEILING}x"
+    )
+    print(f"dgemm standard/LZ slowdown ceiling {DGEMM_SLOWDOWN_CEILING}x: OK")
 
     results["trace_cache"].update(store.counters())
     results["provenance"] = build_manifest(

@@ -12,7 +12,12 @@ routine the paper stays call-compatible with.  Internally it:
    transposition fused into the remap — *and charges that conversion to
    the reported cost*, the honest accounting the paper argues for;
 4. runs the requested recursive algorithm over the requested layout
-   (``layout="LC"`` keeps canonical storage: the paper's baseline);
+   (``layout="LC"`` keeps canonical storage: the paper's baseline).
+   Without a runtime and with the BLAS kernel, standard (``mode=
+   "accumulate"``), Strassen and Winograd run on the level-synchronous
+   executor (:mod:`repro.algorithms.levelsync`), which batches each
+   recursion level into a few numpy calls with bit-identical results;
+   every other configuration runs the depth-first recursion;
 5. converts back, applying ``alpha``/``beta`` at the dense interface.
 
 Empty dimensions follow BLAS: ``m == 0`` or ``n == 0`` gives an empty
@@ -29,6 +34,8 @@ from repro import clock
 
 import numpy as np
 
+from repro import obs
+from repro.algorithms import levelsync
 from repro.algorithms.hybrid import default_fast_levels, hybrid_multiply
 from repro.algorithms.recursion import Context
 from repro.algorithms.spacesaving import strassen_space_saving
@@ -166,6 +173,14 @@ def dgemm(
     conv = ConversionStats()
     ctx = Context(rt, kernel)
     multiply = ALGORITHMS[algorithm]
+    level_sync = (
+        rt is None
+        and kernel == "blas"
+        and levelsync.supports(
+            algorithm, mode, layout, (tiling.t_m, tiling.t_k, tiling.t_n)
+        )
+    )
+    grouped_levels = 0
     out = np.zeros((m, n), dtype=np.result_type(a, b), order="F")
     compute_seconds = 0.0
 
@@ -200,6 +215,10 @@ def dgemm(
                     av = to_tiled(asub, layout, at, a_tr, out.dtype, stats=conv)
                     bv = to_tiled(bsub, layout, bt, b_tr, out.dtype, stats=conv)
                 t0 = clock.perf_counter()
+                if level_sync:
+                    grouped_levels += levelsync.multiply(algorithm, c_acc, av, bv)
+                    compute_seconds += clock.perf_counter() - t0
+                    continue
                 extra: dict = {}
                 if algorithm == "standard":
                     extra["mode"] = mode
@@ -229,6 +248,12 @@ def dgemm(
                 block_result = from_tiled(c_acc, stats=conv)
             out[rm[0] : rm[1], rn[0] : rn[1]] = block_result
 
+    if obs.enabled():
+        if level_sync:
+            obs.add("dgemm.path.level_sync")
+            obs.add("dgemm.level_sync.grouped_levels", grouped_levels)
+        else:
+            obs.add("dgemm.path.recursive")
     if alpha != 1.0:
         out *= alpha
     if beta != 0.0 and c is not None:

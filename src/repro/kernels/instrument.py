@@ -78,10 +78,10 @@ def collect():
     result.copy_elements = after.copy_elements
 
 
-def count_leaf_multiply(m: int, k: int, n: int) -> None:
-    """Record one leaf tile multiply of shape (m x k)(k x n)."""
-    counters.multiply_flops += 2 * m * k * n
-    counters.leaf_multiplies += 1
+def count_leaf_multiply(m: int, k: int, n: int, count: int = 1) -> None:
+    """Record ``count`` leaf tile multiplies of shape (m x k)(k x n)."""
+    counters.multiply_flops += 2 * m * k * n * count
+    counters.leaf_multiplies += count
 
 
 def count_adds(elements: int) -> None:

@@ -361,6 +361,14 @@ declare_budget(
     "the perf_smoke machine grid; must match the streaming simulators "
     "bit-for-bit.",
 )
+declare_budget(
+    "dgemm.standard.lz.n1024.slowdown_vs_numpy",
+    "lower_better",
+    0.60,
+    "Wall-clock standard/L_Z dgemm at n=1024 (level-synchronous "
+    "executor) over numpy's a @ b; perf_smoke also asserts a hard "
+    "ceiling of 5.",
+)
 
 
 def declared_budgets() -> dict[str, PerfBudget]:

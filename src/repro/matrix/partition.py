@@ -8,23 +8,21 @@ products ``C[i,j] = sum_l A[i,l] . B[l,j]``, all of which the paper
 spawns in parallel.
 
 :func:`plan_partition` chooses the block counts ``(p_m, p_k, p_n)``
-(smallest product of powers of two that makes every block jointly
-tileable) and returns a :class:`PartitionPlan` whose ``block_products``
+(powers of two making every block jointly tileable, least padded flop
+volume first) and returns a :class:`PartitionPlan` whose ``block_products``
 enumerates the sub-multiplications.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 
+import numpy as np
+
 from repro.bits.util import ceil_div
-from repro.matrix.tile import (
-    InfeasibleTiling,
-    MatmulTiling,
-    TileRange,
-    select_matmul_tiling,
-)
+from repro.matrix.tile import InfeasibleTiling, MatmulTiling, TileRange
 
 __all__ = ["BlockProduct", "PartitionPlan", "plan_partition"]
 
@@ -94,43 +92,87 @@ class PartitionPlan:
         return out
 
 
+#: Block counts per axis are the powers of two ``2^0 .. 2^(SPLIT_EXPONENTS-1)``.
+SPLIT_EXPONENTS = 12
+#: Below this largest dimension every padded volume fits int64 (a padded
+#: block dimension stays below ``2 * max_dim + 1``); larger problems plan
+#: in Python integers.
+_INT64_SAFE_DIM = 1 << 17
+
+
 def plan_partition(
     m: int, k: int, n: int, trange: TileRange | None = None
 ) -> PartitionPlan:
     """Choose block counts making every block jointly tileable.
 
-    Searches powers of two per axis in increasing total block count; the
-    first feasible combination wins (fewest, largest blocks).  Raises
-    :class:`~repro.matrix.tile.InfeasibleTiling` only if even unit blocks
-    fail, which cannot happen for dims >= 1 and t_min <= dim.
+    Among all power-of-two block counts per axis, the winner has the
+    least padded flop volume; ties go to the fewest blocks, then to the
+    lexicographically smallest ``(p_m, p_k, p_n)``.  Each block uses the
+    joint tiling :func:`~repro.matrix.tile.select_matmul_tiling` would
+    pick (least padded area, then smallest ``d``).  Raises
+    :class:`~repro.matrix.tile.InfeasibleTiling` only if even unit
+    blocks fail, which cannot happen for dims >= 1.  Plans are memoized.
     """
     trange = trange or TileRange()
-    candidates = []
-    for em, ek, en in itertools.product(range(12), repeat=3):
-        candidates.append((1 << em, 1 << ek, 1 << en))
-    candidates.sort(key=lambda pkn: (pkn[0] * pkn[1] * pkn[2], pkn))
-    best: PartitionPlan | None = None
-    best_cost: int | None = None
-    last_err: Exception | None = None
-    for p_m, p_k, p_n in candidates:
-        if p_m > m or p_k > k or p_n > n:
-            continue
-        bm, bk, bn = ceil_div(m, p_m), ceil_div(k, p_k), ceil_div(n, p_n)
-        try:
-            tiling = select_matmul_tiling(bm, bk, bn, trange)
-        except InfeasibleTiling as err:
-            last_err = err
-            continue
-        # Total padded flop volume: extreme aspect ratios can be
-        # "feasible" with a square tile grid only via massive padding,
-        # in which case splitting (the paper's Figure 3) is far cheaper.
-        pm, pk, pn = tiling.padded
-        cost = (p_m * p_k * p_n) * 2 * pm * pk * pn
-        if best is None or cost < best_cost:
-            best = PartitionPlan(m, k, n, p_m, p_k, p_n, tiling)
-            best_cost = cost
-    if best is None:
+    return _plan(m, k, n, trange.t_min, trange.t_max)
+
+
+@functools.lru_cache(maxsize=1024)
+def _plan(m: int, k: int, n: int, t_min: int, t_max: int) -> PartitionPlan:
+    """One array pass over every (block counts, tile-grid order) pair.
+
+    Axis 0-2 of the grids index the split exponents of m, k and n; the
+    last axis indexes the tile-grid order ``d`` of the block tiling.
+    """
+    dims = (m, k, n)
+    dtype = np.int64 if max(dims) < _INT64_SAFE_DIM else object
+    splits = np.array([1 << e for e in range(SPLIT_EXPONENTS)], dtype=dtype)
+    size = np.array(dims, dtype=dtype)[:, None]
+    blocks = -(-size // splits)  # (3, E): block dims per axis and split
+    # Orders select_matmul_tiling tries: 2^d <= max_dim // t_min + 1.
+    d_cap = max(1, max(dims) // t_min) + 1
+    sides = np.array([1 << d for d in range(d_cap.bit_length())], dtype=dtype)
+    tiles = -(-blocks[..., None] // sides)  # (3, E, D)
+    ok = (
+        (splits <= size)[..., None]
+        & (tiles <= t_max)
+        & ((tiles >= t_min) | (blocks[..., None] < t_min))
+    )
+    grid = (slice(None), None, None), (None, slice(None), None), (None, None, slice(None))
+    t_m, t_k, t_n = (tiles[axis][grid[axis]] for axis in range(3))
+    b_m, b_k, b_n = (blocks[axis][grid[axis]] for axis in range(3))
+    b_max = np.maximum(np.maximum(b_m, b_k), b_n)
+    feasible = (
+        ok[0][grid[0]] & ok[1][grid[1]] & ok[2][grid[2]]
+        & (sides <= np.maximum(1, b_max // t_min)[..., None] + 1)
+    )
+    area = (t_m * t_k + t_k * t_n + t_m * t_n) * sides * sides
+    worst = float("inf") if dtype is object else np.iinfo(np.int64).max
+    best = np.where(feasible, area, worst).argmin(axis=-1)[..., None]
+    e_m, e_k, e_n = np.nonzero(feasible.any(axis=-1))
+    if e_m.size == 0:
         raise InfeasibleTiling(
-            f"no partition of ({m}x{k})({k}x{n}) into squat blocks: {last_err}"
+            f"no partition of ({m}x{k})({k}x{n}) into squat blocks with "
+            f"tiles in [{t_min}, {t_max}]"
         )
-    return best
+    shape = feasible.shape
+    chosen = [
+        np.take_along_axis(np.broadcast_to(t, shape), best, axis=-1)[e_m, e_k, e_n, 0]
+        for t in (t_m, t_k, t_n)
+    ]
+    order = best[e_m, e_k, e_n, 0]
+    volume = chosen[0] * chosen[1] * chosen[2] * sides[order] ** 3
+    # Exact padded flop volume (over 2) as Python integers.
+    key = min(
+        (v << (em + ek + en), em + ek + en, em, ek, en, i)
+        for i, (v, em, ek, en) in enumerate(
+            zip(volume.tolist(), e_m.tolist(), e_k.tolist(), e_n.tolist())
+        )
+    )
+    _, _, em, ek, en, i = key
+    tiling = MatmulTiling(
+        int(order[i]),
+        *(int(t[i]) for t in chosen),
+        *(int(blocks[axis, e]) for axis, e in enumerate((em, ek, en))),
+    )
+    return PartitionPlan(m, k, n, 1 << em, 1 << ek, 1 << en, tiling)

@@ -210,7 +210,12 @@ class JobManager:
 
     def _run_job(self, job: Job) -> None:
         job.status = "running"
-        points, merge = build_sweep(job.request)
+        try:
+            points, merge = build_sweep(job.request)
+        except Exception as exc:  # a bad job fails alone; the dispatcher lives on
+            job.status = "failed"
+            job.error = f"{type(exc).__name__}: {exc}"
+            return
         retries = max(0, knobs.integer("REPRO_SERVE_MAX_RETRIES") or 0)
         # Warm reuse-distance profiles shared across coalesced jobs: the
         # dispatcher is the store's single writer, so the counter delta

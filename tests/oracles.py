@@ -73,3 +73,39 @@ def scalar_set_stack_distances(lines, n_sets):
         mask = sets == s
         sd[mask] = scalar_stack_distances(lines[mask])
     return sd
+
+
+def exhaustive_plan_partition(m, k, n, trange=None):
+    """Partition plan by trying every power-of-two block count in
+    increasing total count through ``select_matmul_tiling``; the first
+    candidate of least padded flop volume wins."""
+    import itertools
+
+    from repro.bits.util import ceil_div
+    from repro.matrix.partition import PartitionPlan
+    from repro.matrix.tile import InfeasibleTiling, TileRange, select_matmul_tiling
+
+    trange = trange or TileRange()
+    candidates = sorted(
+        ((1 << em, 1 << ek, 1 << en)
+         for em, ek, en in itertools.product(range(12), repeat=3)),
+        key=lambda pkn: (pkn[0] * pkn[1] * pkn[2], pkn),
+    )
+    best = None
+    best_cost = None
+    for p_m, p_k, p_n in candidates:
+        if p_m > m or p_k > k or p_n > n:
+            continue
+        bm, bk, bn = ceil_div(m, p_m), ceil_div(k, p_k), ceil_div(n, p_n)
+        try:
+            tiling = select_matmul_tiling(bm, bk, bn, trange)
+        except InfeasibleTiling:
+            continue
+        pm, pk, pn = tiling.padded
+        cost = (p_m * p_k * p_n) * 2 * pm * pk * pn
+        if best is None or cost < best_cost:
+            best = PartitionPlan(m, k, n, p_m, p_k, p_n, tiling)
+            best_cost = cost
+    if best is None:
+        raise InfeasibleTiling(f"no partition of ({m}x{k})({k}x{n})")
+    return best

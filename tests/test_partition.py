@@ -1,9 +1,17 @@
 """Wide/lean matrix partitioning (Figure 3)."""
 
+import dataclasses
+
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.matrix.partition import BlockProduct, plan_partition
-from repro.matrix.tile import TileRange
+from repro.matrix.tile import InfeasibleTiling, TileRange
+from tests.oracles import exhaustive_plan_partition
+
+TILE_RANGES = [TileRange(), TileRange(8, 16), TileRange(17, 32), TileRange(1, 1),
+               TileRange(4, 8), TileRange(5, 7), TileRange(1, 64)]
 
 
 class TestPlanPartition:
@@ -62,6 +70,37 @@ class TestPlanPartition:
     def test_extreme_aspect(self):
         p = plan_partition(2048, 16, 16, TileRange(8, 16))
         assert p.p_m >= 64
+
+
+class TestPlanMatchesExhaustiveSearch:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.integers(1, 1100), st.integers(1, 1100), st.integers(1, 1100),
+        st.sampled_from(TILE_RANGES),
+    )
+    def test_equal_plans(self, m, k, n, tr):
+        assert plan_partition(m, k, n, tr) == exhaustive_plan_partition(m, k, n, tr)
+
+    @pytest.mark.parametrize("dims", [(1, 1, 1), (1, 1100, 1), (1100, 1, 1100),
+                                      (1024, 256, 256), (2048, 16, 16)])
+    @pytest.mark.parametrize("tr", TILE_RANGES, ids=str)
+    def test_equal_plans_at_the_edges(self, dims, tr):
+        assert plan_partition(*dims, tr) == exhaustive_plan_partition(*dims, tr)
+
+    def test_beyond_int64_safe_dims(self):
+        tr = TileRange()
+        dims = (200_000, 3, 150_000)
+        assert plan_partition(*dims, tr) == exhaustive_plan_partition(*dims, tr)
+
+    def test_memoized_frozen_result(self):
+        p = plan_partition(300, 200, 100)
+        assert plan_partition(300, 200, 100, TileRange()) is p
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            p.p_m = 2  # type: ignore[misc]
+
+    def test_empty_dims_are_infeasible(self):
+        with pytest.raises(InfeasibleTiling):
+            plan_partition(0, 10, 10)
 
 
 class TestBlockProduct:

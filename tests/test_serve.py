@@ -28,6 +28,7 @@ What is pinned:
 import json
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
@@ -74,6 +75,8 @@ class ServerUnderTest:
             REPRO_OBS_DIR=str(workdir / "obs"),
         )
         env.update(extra_env or {})
+        # Its own session, so teardown can reach the pool workers too:
+        # they share the server's process group.
         self.proc = subprocess.Popen(
             [sys.executable, "-m", "repro", "serve", "--port", "0",
              "--jobs", "2", *args],
@@ -82,13 +85,15 @@ class ServerUnderTest:
             text=True,
             env=env,
             cwd=REPO_ROOT,
+            start_new_session=True,
         )
+        self.pgid = self.proc.pid
         # Readiness contract: first stdout line names the bound port
         # (EOF here means the server died; surface its stderr).
         line = self.proc.stdout.readline()
         match = READY_RE.search(line)
         if not match:
-            self.proc.kill()
+            self.kill()
             raise AssertionError(
                 f"no readiness line (got {line!r}); stderr:\n"
                 f"{self.proc.stderr.read()}"
@@ -98,11 +103,44 @@ class ServerUnderTest:
         self.client.wait_ready(timeout=30.0)
 
     def kill(self) -> None:
-        """Hard teardown: never leaves an orphan, even on test failure."""
-        self.proc.kill()
+        """Hard teardown of the server and its pool workers (the whole
+        process group); asserts that no process of the group survives."""
+        try:
+            os.killpg(self.pgid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
         self.proc.wait(timeout=10)
         self.proc.stdout.close()
         self.proc.stderr.close()
+        deadline = time.time() + 10
+        while _live_group_members(self.pgid):
+            assert time.time() < deadline, (
+                f"processes of group {self.pgid} survived teardown: "
+                f"{_live_group_members(self.pgid)}"
+            )
+            time.sleep(0.05)
+
+
+def _live_group_members(pgid: int) -> list[int]:
+    """Pids in process group ``pgid`` that are not zombies (Linux /proc;
+    a zombie has exited and only waits for its parent to reap it).
+    Without /proc the check sees no processes."""
+    proc = Path("/proc")
+    if not proc.is_dir():
+        return []
+    members = []
+    for entry in proc.iterdir():
+        if not entry.name.isdigit():
+            continue
+        try:
+            stat = (entry / "stat").read_text()
+        except OSError:
+            continue
+        # Fields after the parenthesized command: state, ppid, pgrp, ...
+        state, _, pgrp = stat.rsplit(")", 1)[1].split()[:3]
+        if int(pgrp) == pgid and state != "Z":
+            members.append(int(entry.name))
+    return members
 
 
 @pytest.fixture(scope="module")
@@ -406,6 +444,54 @@ def test_retry_budget_exhaustion_fails_the_job(tmp_path):
         assert code == 200
     finally:
         srv.kill()
+
+
+@pytest.mark.skipif(not Path("/proc").is_dir(), reason="needs Linux /proc")
+def test_teardown_leaves_no_pool_worker_behind(tmp_path):
+    """The pool workers a pooled sweep starts die with the server."""
+    srv = ServerUnderTest(tmp_path)
+    try:
+        rows = srv.client.rows("fig6sim", dict(GOLDEN_PARAMS, n=16), jobs=2)
+        assert rows
+        workers = [pid for pid in _live_group_members(srv.pgid)
+                   if pid != srv.proc.pid]
+        assert workers, "a pooled sweep should have started pool workers"
+    finally:
+        srv.kill()
+    assert _live_group_members(srv.pgid) == []
+
+
+def test_build_sweep_error_fails_only_its_job(monkeypatch):
+    """An exception while building a job's sweep fails that job; the
+    dispatcher thread survives and runs the next job (in-process)."""
+    from repro.serve import jobs as serve_jobs
+    from repro.serve.protocol import parse_request
+
+    real = serve_jobs.build_sweep
+    calls = []
+
+    def flaky(request):
+        calls.append(request)
+        if len(calls) == 1:
+            raise RuntimeError("planted build_sweep failure")
+        return real(request)
+
+    monkeypatch.setattr(serve_jobs, "build_sweep", flaky)
+    manager = serve_jobs.JobManager(pool_jobs=1)
+    try:
+        params = dict(GOLDEN_PARAMS, n=16, algorithms=["standard"], layouts=["LZ"])
+        bad = manager.submit(parse_request(
+            {"figure": "fig6sim", "params": params, "jobs": 1}))
+        assert bad.done.wait(60)
+        assert bad.status == "failed"
+        assert "planted build_sweep failure" in bad.error
+        good = manager.submit(parse_request(
+            {"figure": "fig6sim", "params": dict(params, n=24), "jobs": 1}))
+        assert good.done.wait(120), "dispatcher died with the failed job"
+        assert good.status == "done", good.error
+        assert len(good.rows) == 1
+    finally:
+        manager.shutdown()
 
 
 # -- client disconnects ------------------------------------------------
