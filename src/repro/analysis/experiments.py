@@ -34,8 +34,7 @@ from repro.matrix.tile import TileRange
 from repro.memsim.coherence import assign_by_output, false_sharing_stats
 from repro.memsim.machine import MachineModel, ultrasparc_like
 from repro.memsim.synthetic import dense_standard_events
-from repro.memsim.synthesis import synthesis_enabled, synthesize_multiply
-from repro.memsim.trace import trace_multiply
+from repro.memsim.synthesis import synthesize_multiply
 from repro.runtime.cilk import CostModel, TraceRuntime
 from repro.runtime.critical import work_span
 from repro.runtime.scheduler import greedy_makespan, work_stealing_makespan
@@ -247,9 +246,9 @@ def fig6_machine_scaling(
     on the full associativity/TLB grid of
     :func:`~repro.memsim.machine.assoc_scaled` — the canonical consumer
     of the multi-config reuse-distance profile: per trace, one profile
-    build answers the entire machine grid by histogram suffix-sums
-    (``REPRO_MULTICONFIG=0`` replays each config through the streaming
-    simulators instead; rows are byte-identical either way).
+    build answers the rest of the machine grid by histogram suffix-sums
+    (the trace store streams each trace's first configuration, then
+    builds the profile; rows are byte-identical either way).
     """
     return _sweep("fig6ms", locals())
 
@@ -514,13 +513,10 @@ def false_sharing_table(
             ev = dense_standard_events(n, tile)
             owner = assign_by_output(ev, procs, 3, n, ld=n)
             lc = false_sharing_stats(ev, owner, machine)
-            if synthesis_enabled():
-                # Descriptor-only synthesis: identical event regions,
-                # no executed multiply behind them.
-                table, sizes = synthesize_multiply("standard", "LZ", n, tile)
-                ev = table.to_events()
-            else:
-                ev, sizes = trace_multiply("standard", "LZ", n, tile)
+            # Descriptor-only synthesis: the executed tracer's event
+            # regions, no executed multiply behind them.
+            table, sizes = synthesize_multiply("standard", "LZ", n, tile)
+            ev = table.to_events()
             c_space = ev[0].write.space
             owner = assign_by_output(
                 ev, procs, c_space, n, tiled_total=sizes[c_space]

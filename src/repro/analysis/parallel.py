@@ -212,8 +212,9 @@ def _worker_call_batch(points: Sequence[SweepPoint]) -> list[dict]:
 
     Each point still produces its own :func:`_worker_call` payload (the
     per-task counter/obs delta contract is unchanged); co-locating the
-    group simply means members after the first find the trace and its
-    reuse-distance profile warm in this process's store.
+    group means this process's store sees all of it: the first member
+    streams the trace, the second builds the reuse-distance profile
+    from it, and the rest find that profile warm.
     """
     return [_worker_call(p) for p in points]
 
@@ -483,8 +484,8 @@ def fig6ms_point(
 
     Every point of an (algorithm, layout) row group replays the *same*
     trace, so the grid is the multi-config profile's home turf: the
-    first member builds the reuse-distance profile, the rest answer by
-    histogram suffix-sums.
+    store streams the first member, builds the reuse-distance profile
+    on the second, and answers the rest by histogram suffix-sums.
     """
     machine = assoc_scaled(l1_assoc, l2_assoc, tlb_entries)
     with obs.span("fig6ms.point", algorithm=algorithm, layout=layout,

@@ -27,6 +27,7 @@ import os
 
 __all__ = [
     "BUDGET_DIRECTIONS",
+    "IGNORED",
     "Knob",
     "PERF_BUDGETS",
     "PerfBudget",
@@ -125,13 +126,6 @@ declare(
     "output is byte-identical across runs and worker counts.",
 )
 declare(
-    "REPRO_TRACE_SYNTHESIS",
-    "flag",
-    True,
-    "Derive address traces symbolically (repro.memsim.synthesis); set to "
-    "0 to fall back to the executed-trace oracle everywhere.",
-)
-declare(
     "REPRO_TRACE_CACHE",
     "flag",
     True,
@@ -201,15 +195,6 @@ declare(
     False,
     "Expose the service's fault-injection test figure ('fault'); never "
     "set outside the black-box service test suite.",
-)
-declare(
-    "REPRO_MULTICONFIG",
-    "flag",
-    True,
-    "Answer cache-hierarchy stats from shared reuse-distance profiles "
-    "(one vectorized pass per trace, histogram suffix-sums per machine "
-    "config); set to 0 to revert every consumer to the per-config "
-    "streaming simulators.",
 )
 
 
@@ -471,9 +456,16 @@ def environ_restore(snapshot: dict[str, str]) -> None:
         os.environ[name] = value
 
 
+#: Effective value reported for a set ``REPRO_*`` variable that no knob
+#: declares (a typo, or a retired knob): nothing reads it.
+IGNORED = "ignored (undeclared)"
+
+
 def effective() -> dict[str, dict[str, object]]:
     """Effective configuration snapshot: every knob's raw and parsed
-    value plus whether it came from the environment or the default."""
+    value plus whether it came from the environment or the default,
+    followed by every undeclared ``REPRO_*`` variable set in the
+    environment, reported as :data:`IGNORED`."""
     out: dict[str, dict[str, object]] = {}
     for name in sorted(REGISTRY):
         knob = REGISTRY[name]
@@ -484,6 +476,15 @@ def effective() -> dict[str, dict[str, object]]:
             "value": knob.parse(value),
             "source": "env" if value is not None else "default",
             "doc": knob.doc,
+        }
+    env = environ_snapshot()
+    for name in sorted(set(env) - set(REGISTRY)):
+        out[name] = {
+            "kind": None,
+            "raw": env[name],
+            "value": IGNORED,
+            "source": "env",
+            "doc": "not declared in repro.knobs; nothing reads it",
         }
     return out
 

@@ -149,21 +149,15 @@ def simulate_hierarchy_multi(
 ) -> list[MemoryStats]:
     """Price one trace on many machine models, amortizing the work.
 
-    With ``REPRO_MULTICONFIG`` on, machines are grouped by config
-    family (:class:`~repro.memsim.multiconfig.ConfigFamily`) and each
-    family pays one reuse-distance profile build; every member then
-    answers by histogram suffix-sums — bit-identical to calling
-    :func:`simulate_hierarchy` per machine, which is exactly what the
-    knob-off path does.
+    Machines are grouped by config family
+    (:class:`~repro.memsim.multiconfig.ConfigFamily`) and each family
+    pays one reuse-distance profile build; every member then answers by
+    histogram suffix-sums — bit-identical to calling
+    :func:`simulate_hierarchy` per machine.
     """
     # Late import: multiconfig builds on this module's MemoryStats.
     from repro.memsim import multiconfig
 
-    if not multiconfig.multiconfig_enabled():
-        return [
-            simulate_hierarchy(addresses, m, include_tlb=include_tlb)
-            for m in machines
-        ]
     profiles: dict[multiconfig.ConfigFamily, multiconfig.ReuseProfile] = {}
     for machine in machines:
         family = multiconfig.ConfigFamily.of(machine)

@@ -27,9 +27,9 @@ limit: configs that change a level's line size or set count (a different
 within the family share one.
 
 Histograms are structure-of-arrays int64; profiles persist as ``.npz``
-beside the traces in the :class:`~repro.memsim.store.TraceStore`.  The
-``REPRO_MULTICONFIG`` knob (default on) reverts every consumer to the
-per-config streaming simulators.
+beside the traces in the :class:`~repro.memsim.store.TraceStore`, which
+streams a (trace, family)'s first stats miss and builds its profile on
+the second.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import dataclasses
 
 import numpy as np
 
-from repro import knobs, obs
+from repro import obs
 from repro.memsim.hierarchy import MemoryStats, _dedup_consecutive
 from repro.memsim.engines import set_stack_distances, stack_distances
 from repro.memsim.machine import MachineModel
@@ -48,7 +48,6 @@ __all__ = [
     "ConfigFamily",
     "ReuseProfile",
     "build_profile",
-    "multiconfig_enabled",
 ]
 
 #: L1 associativities every profile precomputes L2 histograms for; sweep
@@ -57,11 +56,6 @@ CANONICAL_ASSOCS = (1, 2, 4, 8)
 
 #: Bump to invalidate persisted profile artifacts (npz schema).
 _PROFILE_VERSION = 1
-
-
-def multiconfig_enabled() -> bool:
-    """Whether consumers answer stats from shared reuse profiles."""
-    return knobs.flag("REPRO_MULTICONFIG")
 
 
 @dataclasses.dataclass(frozen=True)

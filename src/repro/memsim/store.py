@@ -14,6 +14,10 @@ the cached :class:`~repro.memsim.hierarchy.MemoryStats`:
 * **stats** — the simulated :class:`MemoryStats`, stored as JSON.
   Keyed by the trace key plus the *full* machine model (capacities,
   associativities, cycle costs) and the ``include_tlb`` flag.
+* **profiles** — reuse-distance profiles per (trace, config family),
+  stored as ``.npz``.  A stats miss streams the trace the first time a
+  store sees its (trace, family) and builds the profile on the second
+  (see :meth:`TraceStore.stats`).
 
 Keys are sha256 over a canonical JSON payload that includes a store
 version; bumping :data:`_STORE_VERSION` invalidates everything at once
@@ -40,25 +44,13 @@ import numpy as np
 from repro import knobs, obs
 from repro.memsim.hierarchy import MemoryStats, simulate_hierarchy
 from repro.memsim.machine import MachineModel
-from repro.memsim.multiconfig import (
-    ConfigFamily,
-    ReuseProfile,
-    build_profile,
-    multiconfig_enabled,
-)
-from repro.memsim.synthesis import (
-    EventTable,
-    UnsupportedSynthesis,
-    expand_table,
-    synthesis_enabled,
-    synthesize_multiply,
-)
+from repro.memsim.multiconfig import ConfigFamily, ReuseProfile, build_profile
+from repro.memsim.synthesis import EventTable, expand_table, synthesize_multiply
 from repro.memsim.synthetic import (
     blocked_canonical_events,
     dense_standard_events,
     dense_strassen_events,
 )
-from repro.memsim.trace import expand_trace, trace_multiply
 
 __all__ = [
     "TraceStore",
@@ -110,9 +102,11 @@ class TraceStore:
         self.stats_misses = 0
         self.profile_hits = 0
         self.profile_misses = 0
-        # Warm reuse-distance profiles by content key (bounded; a sweep
-        # touches a handful of trace/family pairs, not thousands).
+        # Warm reuse-distance profiles, and the profile keys whose
+        # (trace, family) already had a stats miss here (an ordered
+        # set), both bounded by _MEMORY_ENTRIES.
         self._profiles: dict[str, ReuseProfile] = {}
+        self._missed: dict[str, None] = {}
         # Content addresses this store touched, in first-touch order:
         # key -> "hit" | "miss".  Run manifests embed these so any output
         # can name the exact cached artifacts it was computed from.
@@ -240,15 +234,7 @@ class TraceStore:
         missing the machine's L1 associativity counts as a miss and is
         rebuilt with the union of associativities.
         """
-        key = self.key_of(
-            {
-                "kind": "profile",
-                "v": _STORE_VERSION,
-                "fields": fields,
-                "expand": _expansion_fingerprint(machine),
-                "family": dataclasses.asdict(ConfigFamily.of(machine)),
-            }
-        )
+        key = self._profile_key(fields, machine)
         prof = self._profiles.get(key)
         if prof is None:
             path = self._path(key, ".npz")
@@ -262,7 +248,7 @@ class TraceStore:
             self.profile_hits += 1
             self._touch("profile", key, hit=True)
             obs.add("multiconfig.profile_hits")
-            self._remember_profile(key, prof)
+            _remember(self._profiles, key, prof)
             return prof
         self.profile_misses += 1
         self._touch("profile", key, hit=False)
@@ -275,13 +261,37 @@ class TraceStore:
                 prof.save(fh)
 
         self._write_atomic(self._path(key, ".npz"), _save)
-        self._remember_profile(key, prof)
+        _remember(self._profiles, key, prof)
         return prof
 
-    def _remember_profile(self, key: str, prof: ReuseProfile) -> None:
-        self._profiles[key] = prof
-        while len(self._profiles) > 64:
-            self._profiles.pop(next(iter(self._profiles)))
+    @classmethod
+    def _profile_key(cls, fields: dict, machine: MachineModel) -> str:
+        return cls.key_of(
+            {
+                "kind": "profile",
+                "v": _STORE_VERSION,
+                "fields": fields,
+                "expand": _expansion_fingerprint(machine),
+                "family": dataclasses.asdict(ConfigFamily.of(machine)),
+            }
+        )
+
+    def _use_profile(self, key: str) -> bool:
+        """Whether a stats miss on the (trace, family) behind ``key``
+        should answer from a reuse profile rather than a streaming run.
+
+        A profile build costs several streaming runs, so it pays only
+        once a second machine of the family asks: use one that is warm
+        in memory or on disk, or build one on this store's second miss.
+        """
+        if (
+            key in self._profiles
+            or key in self._missed
+            or self._path(key, ".npz").exists()
+        ):
+            return True
+        _remember(self._missed, key, None)
+        return False
 
     def stats(
         self,
@@ -293,24 +303,21 @@ class TraceStore:
         """Simulated :class:`MemoryStats` for ``fields``, memoized on disk.
 
         On a stats hit neither the trace expansion nor the simulation
-        runs.  On a stats miss the trace itself still goes through
-        :meth:`trace`, so a second geometry sharing the expansion
-        fingerprint reuses the address file — and with
-        ``REPRO_MULTICONFIG`` on, the miss is answered from the shared
-        reuse-distance profile (:meth:`profile`) instead of a streaming
-        replay, so a second machine model in the same config family
-        costs only a histogram suffix sum.  Both paths produce
-        bit-identical :class:`MemoryStats` (property-tested), so either
-        may fill a stats slot the other reads and ``_STORE_VERSION``
-        stays put.
+        runs.  A miss streams the trace (through :meth:`trace`) into
+        :func:`simulate_hierarchy` the first time this store sees its
+        (trace, config family); it answers from the shared reuse-distance
+        profile (:meth:`profile`) once that profile exists in memory or
+        on disk, or on the family's second miss, which builds it — from
+        then on every machine of the family costs a histogram suffix
+        sum.  Both engines produce bit-identical :class:`MemoryStats`
+        (property-tested), so either may fill a stats slot the other
+        reads and ``_STORE_VERSION`` stays put.  A disabled store
+        always streams.
         """
         if not self.enabled:
+            obs.add("memsim.store.stats_streamed")
             addrs = np.asarray(build_trace(), dtype=np.int64)
-            if multiconfig_enabled():
-                prof = build_profile(addrs, machine)
-                st = prof.query(machine, include_tlb=include_tlb)
-            else:
-                st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
+            st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
             st.publish()
             return st
         key = self.key_of(
@@ -336,11 +343,13 @@ class TraceStore:
                 return st
         self.stats_misses += 1
         self._touch("stats", key, hit=False)
-        if multiconfig_enabled():
+        if self._use_profile(self._profile_key(fields, machine)):
+            obs.add("memsim.store.stats_profiled")
             prof = self.profile(fields, machine, build_trace)
             with obs.span("store.stats.simulate", key=key[:16], **fields):
                 st = prof.query(machine, include_tlb=include_tlb)
         else:
+            obs.add("memsim.store.stats_streamed")
             addrs = self.trace(fields, machine, build_trace)
             with obs.span("store.stats.simulate", key=key[:16], **fields):
                 st = simulate_hierarchy(addrs, machine, include_tlb=include_tlb)
@@ -348,6 +357,17 @@ class TraceStore:
         self._write_atomic(path, lambda tmp: tmp.write_text(blob))
         st.publish()
         return st
+
+
+#: Entries each in-memory store map keeps (oldest evicted first); a
+#: sweep touches a handful of (trace, family) pairs, not thousands.
+_MEMORY_ENTRIES = 64
+
+
+def _remember(memo: dict, key: str, value) -> None:
+    memo[key] = value
+    while len(memo) > _MEMORY_ENTRIES:
+        memo.pop(next(iter(memo)))
 
 
 _DEFAULT: TraceStore | None = None
@@ -383,24 +403,13 @@ def _multiply_fields(algorithm, layout, n, tile, mode, depth) -> dict:
 
 
 def _multiply_builder(algorithm, layout, n, tile, machine, mode, depth):
-    # Symbolic synthesis and the executed tracer produce byte-identical
-    # streams (property-tested), so the flag does not enter the cache
-    # key and _STORE_VERSION stays put: either path may fill a slot the
-    # other reads.
+    # Symbolic synthesis is byte-identical to expanding the executed
+    # tracer (property-tested against repro.memsim.trace.trace_multiply).
     def build():
-        if synthesis_enabled():
-            try:
-                table, sizes = synthesize_multiply(
-                    algorithm, layout, n, tile, mode=mode, depth=depth
-                )
-            except UnsupportedSynthesis:
-                pass
-            else:
-                return expand_table(table, machine, sizes)
-        events, sizes = trace_multiply(
+        table, sizes = synthesize_multiply(
             algorithm, layout, n, tile, mode=mode, depth=depth
         )
-        return expand_trace(events, machine, sizes)
+        return expand_table(table, machine, sizes)
 
     return build
 
@@ -419,8 +428,8 @@ def trace_address(
 
     Sweep drivers group points by this key: two points share it iff
     they simulate the *same* address stream (machine pricing fields do
-    not enter), so scheduling a group onto one worker lets every member
-    after the first answer from the warm reuse-distance profile.
+    not enter), so scheduling a group onto one worker lets its store
+    build the reuse-distance profile once and answer the rest from it.
     """
     return TraceStore.key_of(
         {
@@ -476,12 +485,10 @@ def cached_multiply_stats(
 
 def _synthetic_builder(source: str, machine: MachineModel, params: dict):
     def build():
+        # Same addresses as expand_trace(events, machine); the array
+        # representation just expands vectorized instead of event-by-event.
         events = _SYNTHETIC_SOURCES[source](**params)
-        if synthesis_enabled():
-            # Same addresses either way; the array representation just
-            # expands vectorized instead of event-by-event.
-            return expand_table(EventTable.from_events(events), machine)
-        return expand_trace(events, machine)
+        return expand_table(EventTable.from_events(events), machine)
 
     return build
 

@@ -40,7 +40,7 @@ import dataclasses
 
 import numpy as np
 
-from repro import knobs, obs
+from repro import obs
 from repro.algorithms.recursion import Context, leaf_multiply
 from repro.algorithms.spacesaving import strassen_space_level
 from repro.algorithms.standard import standard_level
@@ -67,7 +67,6 @@ __all__ = [
     "expand_level",
     "expand_table",
     "expand_table_chunks",
-    "synthesis_enabled",
     "synthesize_multiply",
 ]
 
@@ -81,17 +80,6 @@ _KIND_CODES = {name: code for code, name in _KIND_NAMES.items()}
 
 class UnsupportedSynthesis(KeyError):
     """The requested algorithm has no symbolic synthesis spec."""
-
-
-def synthesis_enabled() -> bool:
-    """Whether trace synthesis is the default trace source.
-
-    ``REPRO_TRACE_SYNTHESIS=0`` switches every consumer back to the
-    executed-trace oracle (:func:`repro.memsim.trace.trace_multiply`);
-    the two are byte-identical, so this is purely a speed/verification
-    knob.
-    """
-    return knobs.flag("REPRO_TRACE_SYNTHESIS")
 
 
 # ---------------------------------------------------------------------------
@@ -619,9 +607,10 @@ def _descend(ctx: SynthesisContext, spec: tuple, c, a, b, accumulate: bool) -> N
 
 
 SPEC_BUILDERS = {
-    # Keep in sync with repro.algorithms.dgemm.ALGORITHMS and the
-    # kwargs run_traced_multiply passes (mode for standard only; hybrid
-    # runs with its registry defaults fast="strassen", fast_levels=1).
+    # One entry per repro.algorithms.dgemm.ALGORITHMS key (tested), with
+    # the kwargs run_traced_multiply passes (mode for standard only;
+    # hybrid runs with its registry defaults fast="strassen",
+    # fast_levels=1).
     "standard": lambda mode: ("standard", mode),
     "strassen": lambda mode: ("strassen",),
     "winograd": lambda mode: ("winograd",),
@@ -644,7 +633,7 @@ def synthesize_multiply(
     :func:`repro.memsim.trace.trace_multiply`: same tiling policy, same
     event sequence, byte-identical expanded address stream — without
     executing the multiply.  Raises :class:`UnsupportedSynthesis` for
-    algorithms without a spec (callers fall back to the executed path).
+    algorithms without a spec.
     """
     try:
         spec = SPEC_BUILDERS[algorithm](mode)

@@ -61,9 +61,11 @@ class WorkSpan:
         return self.work / (self.work / p + self.span)
 
 
-#: (products, pre_adds, pre_chain, post_adds, post_chain) per algorithm.
-#: ``*_chain`` is the longest dependence chain among the additions at one
-#: recursion level, in units of one quadrant addition.
+#: Per-level recurrence terms per algorithm: ``products`` recursive
+#: sub-multiplies, ``adds`` quadrant additions (pre and post together),
+#: ``chain`` the longest dependence chain among those additions in units
+#: of one quadrant addition, and ``phases`` the sequential rounds of
+#: sub-multiplies on the span (standard accumulates into C in two).
 ALGORITHM_RECURRENCES = {
     "standard": dict(products=8, adds=0, chain=0, phases=2),
     "standard_temps": dict(products=8, adds=8, chain=1, phases=1),

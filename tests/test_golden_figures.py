@@ -15,14 +15,22 @@ Regenerate after an intentional modeling change with::
     python -m pytest tests/test_golden_figures.py --update-golden
 """
 
+import functools
 import json
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import pytest
 
+from repro.analysis import parallel as parallel_mod
 from repro.analysis.figures import FIGURES, SWEEP_FIGURES
 from repro.matrix.tile import TileRange
-from repro.memsim.machine import scaled
+from repro.memsim import store as store_mod
+from repro.memsim.hierarchy import simulate_hierarchy
+from repro.memsim.machine import assoc_scaled, scaled
+from repro.memsim.store import TraceStore, cached_multiply_stats
+from repro.memsim.trace import expand_trace, trace_multiply
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
@@ -90,8 +98,7 @@ def test_golden_parallel(name, jobs, request):
     assert path.read_bytes() == _serialize(CASES[name](jobs))
 
 
-#: The memsim-backed figures: their traces come from the symbolic
-#: synthesizer by default, from the executed tracer when it is off.
+#: The memsim-backed figures: their stats go through the trace store.
 SIM_CASES = ("fig4", "fig5", "fig6sim", "fig6ms")
 
 
@@ -103,23 +110,97 @@ def test_every_sweep_figure_has_a_golden_file():
         assert (GOLDEN_DIR / f"{name}.json").exists(), name
 
 
+@pytest.fixture
+def fresh_store(tmp_path, monkeypatch):
+    """Route the process-wide store (and pool workers') at an empty,
+    enabled root, so every point really simulates."""
+    monkeypatch.setenv("REPRO_TRACE_CACHE", "1")
+    monkeypatch.setenv("REPRO_TRACE_CACHE_DIR", str(tmp_path / "cache"))
+    monkeypatch.setattr(store_mod, "_DEFAULT", None)
+    return store_mod.default_store()
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("name", SIM_CASES)
+def test_golden_fresh_store(name, jobs, fresh_store, request):
+    """Goldens hold byte-identical through a cold store, serially and
+    under a 2-worker pool.  Each trace's first configuration streams;
+    fig6ms's later group members build and query the reuse profile, so
+    both engines fill rows."""
+    if request.config.getoption("--update-golden"):
+        pytest.skip("golden files update from the serial run only")
+    path = GOLDEN_DIR / f"{name}.json"
+    assert path.exists(), f"missing golden file {path}"
+    assert path.read_bytes() == _serialize(CASES[name](jobs))
+    counters = fresh_store.counters()  # pool workers' deltas merged in
+    assert counters["stats_misses"] > 0
+    # Only fig6ms prices one trace on several machines of one family.
+    assert (counters["profile_misses"] > 0) == (name == "fig6ms")
+
+
+@pytest.fixture
+def forked_pool(monkeypatch):
+    """Start sweep pools with ``fork``, so module patches made by a test
+    reach the workers whatever the platform's default start method."""
+    monkeypatch.setattr(
+        parallel_mod,
+        "ProcessPoolExecutor",
+        functools.partial(
+            ProcessPoolExecutor, mp_context=multiprocessing.get_context("fork")
+        ),
+    )
+
+
+def _refuse(what):
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{what} ran on a leg that must not take it")
+
+    return refuse
+
+
+def _executed_multiply_builder(algorithm, layout, n, tile, machine, mode, depth):
+    def build():
+        events, sizes = trace_multiply(
+            algorithm, layout, n, tile, mode=mode, depth=depth
+        )
+        return expand_trace(events, machine, sizes)
+
+    return build
+
+
+def _executed_synthetic_builder(source, machine, params):
+    def build():
+        return expand_trace(store_mod._SYNTHETIC_SOURCES[source](**params), machine)
+
+    return build
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("synthesis", ["1", "0"])
 @pytest.mark.parametrize("name", SIM_CASES)
-def test_golden_synthesis_toggle(name, synthesis, jobs, monkeypatch, request):
-    """Goldens hold byte-identical with trace synthesis on (default) and
-    off (executed-tracer oracle), serially and under a 2-worker pool.
+def test_golden_synthesis_toggle(
+    name, synthesis, jobs, forked_pool, monkeypatch, request
+):
+    """Goldens hold byte-identical with the store's traces built by
+    symbolic synthesis ("1", production) and by the executed tracer
+    expanded event by event ("0", the oracle), serially and under a
+    2-worker pool.
 
     The trace cache is disabled so each leg really computes its traces
-    through the selected path instead of reading the other leg's bytes.
+    through the selected path instead of reading the other leg's bytes;
+    on the executed leg the synthesis entry points raise if called.
     """
     if request.config.getoption("--update-golden"):
         pytest.skip("golden files update from the serial run only")
-    from repro.memsim import store as store_mod
-
-    monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", synthesis)
     monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
     monkeypatch.setattr(store_mod, "_DEFAULT", None)
+    if synthesis == "0":
+        monkeypatch.setattr(store_mod, "_multiply_builder", _executed_multiply_builder)
+        monkeypatch.setattr(
+            store_mod, "_synthetic_builder", _executed_synthetic_builder
+        )
+        monkeypatch.setattr(store_mod, "synthesize_multiply", _refuse("synthesis"))
+        monkeypatch.setattr(store_mod, "expand_table", _refuse("table expansion"))
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), f"missing golden file {path}"
     assert path.read_bytes() == _serialize(CASES[name](jobs))
@@ -128,24 +209,52 @@ def test_golden_synthesis_toggle(name, synthesis, jobs, monkeypatch, request):
 @pytest.mark.parametrize("jobs", [1, 2])
 @pytest.mark.parametrize("multiconfig", ["1", "0"])
 @pytest.mark.parametrize("name", SIM_CASES)
-def test_golden_multiconfig_toggle(name, multiconfig, jobs, monkeypatch, request):
-    """Goldens hold byte-identical with the shared reuse-distance
-    profiles on (default) and off (per-config streaming oracle),
-    serially and under a 2-worker pool.
+def test_golden_multiconfig_toggle(
+    name, multiconfig, jobs, fresh_store, forked_pool, monkeypatch, request
+):
+    """Goldens hold byte-identical with every stats miss answered from
+    the shared reuse-distance profile ("1") and with every miss streamed
+    through ``simulate_hierarchy`` ("0", the oracle), serially and under
+    a 2-worker pool.
 
-    The trace cache is disabled so each leg simulates every point
-    through the selected engine instead of replaying stored stats.
+    Each leg starts from an empty store and pins the store's engine
+    choice, so every point simulates through the selected engine; the
+    other engine raises if called.
     """
     if request.config.getoption("--update-golden"):
         pytest.skip("golden files update from the serial run only")
-    from repro.memsim import store as store_mod
-
-    monkeypatch.setenv("REPRO_MULTICONFIG", multiconfig)
-    monkeypatch.setenv("REPRO_TRACE_CACHE", "0")
-    monkeypatch.setattr(store_mod, "_DEFAULT", None)
+    profiled = multiconfig == "1"
+    monkeypatch.setattr(TraceStore, "_use_profile", lambda self, key: profiled)
+    if profiled:
+        monkeypatch.setattr(store_mod, "simulate_hierarchy", _refuse("streaming"))
+    else:
+        monkeypatch.setattr(store_mod, "build_profile", _refuse("a profile build"))
     path = GOLDEN_DIR / f"{name}.json"
     assert path.exists(), f"missing golden file {path}"
     assert path.read_bytes() == _serialize(CASES[name](jobs))
+    counters = fresh_store.counters()  # pool workers' deltas merged in
+    assert counters["stats_misses"] > 0
+    assert (counters["profile_misses"] > 0) == profiled
+
+
+@pytest.mark.parametrize("name", ["fig6sim", "fig6ms"])
+def test_golden_points_match_executed_oracle(name, tmp_path):
+    """Every golden fig6sim and fig6ms point, priced through a cold store
+    (symbolic synthesis; streaming, then the reuse profile), equals the
+    executed tracer's expanded trace streamed through
+    ``simulate_hierarchy``."""
+    spec = FIGURES[name]
+    store = TraceStore(root=tmp_path, enabled=True)
+    for point in spec.sweep(spec.resolve(PARAMS[name])):
+        kw = point.kwargs()
+        machine = kw.get("machine") or assoc_scaled(
+            kw["l1_assoc"], kw["l2_assoc"], kw["tlb_entries"]
+        )
+        trace = (kw["algorithm"], kw["layout"], kw["n"], kw["tile"])
+        events, sizes = trace_multiply(*trace)
+        want = simulate_hierarchy(expand_trace(events, machine, sizes), machine)
+        assert cached_multiply_stats(*trace, machine, store=store) == want, kw
+    assert (store.profile_misses > 0) == (name == "fig6ms")
 
 
 def test_seconds_fields_zeroed_under_deterministic_timing():

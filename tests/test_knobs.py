@@ -18,9 +18,9 @@ class TestParsing:
 
     def test_unset_takes_default(self, monkeypatch):
         monkeypatch.delenv("REPRO_OBS", raising=False)
-        monkeypatch.delenv("REPRO_TRACE_SYNTHESIS", raising=False)
+        monkeypatch.delenv("REPRO_TRACE_CACHE", raising=False)
         assert knobs.flag("REPRO_OBS") is False
-        assert knobs.flag("REPRO_TRACE_SYNTHESIS") is True  # default-on
+        assert knobs.flag("REPRO_TRACE_CACHE") is True  # default-on
 
     def test_empty_string_is_unset(self, monkeypatch):
         monkeypatch.setenv("REPRO_TRACE_CACHE", "   ")
@@ -63,7 +63,7 @@ class TestRegistry:
         names = knobs.declared_names()
         for expected in (
             "REPRO_OBS", "REPRO_OBS_DIR", "REPRO_JOBS",
-            "REPRO_DETERMINISTIC_TIMING", "REPRO_TRACE_SYNTHESIS",
+            "REPRO_DETERMINISTIC_TIMING",
             "REPRO_TRACE_CACHE", "REPRO_TRACE_CACHE_DIR",
             "REPRO_STATICCHECK_DEPTH",
             "REPRO_SERVE_HOST", "REPRO_SERVE_PORT", "REPRO_SERVE_JOBS",
@@ -86,6 +86,24 @@ class TestEffective:
         text = knobs.render_effective()
         for name in knobs.declared_names():
             assert name in text
+
+    def test_retired_knob_is_reported_ignored(self, monkeypatch):
+        """A set but undeclared REPRO_* variable (here a retired knob)
+        shows up as ignored instead of vanishing silently."""
+        from repro.obs.manifest import build_manifest
+
+        monkeypatch.setenv("REPRO_MULTICONFIG", "0")
+        assert "REPRO_MULTICONFIG" not in knobs.declared_names()
+        eff = knobs.effective()["REPRO_MULTICONFIG"]
+        assert eff["value"] == knobs.IGNORED == "ignored (undeclared)"
+        assert eff["source"] == "env" and eff["raw"] == "0"
+        line = next(
+            ln for ln in knobs.render_effective().splitlines()
+            if "REPRO_MULTICONFIG" in ln
+        )
+        assert "ignored (undeclared)" in line and "[env]" in line
+        manifest = build_manifest(command="test", store=False)
+        assert manifest["knobs"]["REPRO_MULTICONFIG"] == knobs.IGNORED
 
 
 class TestEnvironIsolation:

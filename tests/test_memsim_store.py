@@ -1,11 +1,13 @@
-"""On-disk trace/stats store: roundtrips, counters, keys, knobs."""
+"""On-disk trace/stats store: roundtrips, counters, keys, knobs, and
+the choice between streaming and a reuse-distance profile."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from repro import knobs
+from repro import obs
 from repro.memsim import store as store_mod
 from repro.memsim.hierarchy import simulate_hierarchy
 from repro.memsim.machine import modern_like, scaled, ultrasparc_like
@@ -78,21 +80,16 @@ class TestKeys:
     def test_machine_pricing_does_not_split_traces(self, store):
         # Same expansion geometry, different cycle costs: one trace file,
         # two stats entries.
-        import dataclasses
-
         m1 = MACH
         m2 = dataclasses.replace(MACH, mem=500.0)
         s1 = cached_multiply_stats("standard", "LZ", 32, 8, m1, store=store)
         s2 = cached_multiply_stats("standard", "LZ", 32, 8, m2, store=store)
         assert store.trace_misses == 1
         assert store.stats_misses == 2
-        if knobs.flag("REPRO_MULTICONFIG"):
-            # The second machine answers from the warm reuse-distance
-            # profile without even touching the trace artifact.
-            assert store.trace_hits == 0
-            assert store.profile_misses == 1 and store.profile_hits == 1
-        else:
-            assert store.trace_hits == 1
+        # The first machine streams the trace; the second, of the same
+        # config family, builds the reuse profile from the stored trace.
+        assert store.trace_hits == 1
+        assert store.profile_misses == 1 and store.profile_hits == 0
         assert s1.l1_misses == s2.l1_misses and s1.cycles != s2.cycles
 
     def test_machine_geometry_splits_stats(self, store):
@@ -165,3 +162,70 @@ class TestKnobs:
         assert s.root.name == "tracecache"
         assert s.root.parent.name == ".benchmarks"
         assert (store_mod._repo_root() / "ROADMAP.md").exists()
+
+
+@pytest.fixture
+def obs_on():
+    was = obs.enabled()
+    obs.set_enabled(True)
+    obs.reset()
+    yield
+    obs.reset()
+    obs.set_enabled(was)
+
+
+def _path_choices() -> tuple[int, int]:
+    counters = obs.registry().snapshot()["counters"]
+    return (
+        counters.get("memsim.store.stats_streamed", 0),
+        counters.get("memsim.store.stats_profiled", 0),
+    )
+
+
+class TestPathChoice:
+    """A stats miss streams the first time a store sees its (trace,
+    config family); the second builds the reuse-distance profile, and
+    any store finding that profile on disk answers from it."""
+
+    def test_stream_then_profile_then_disk(self, store, obs_on):
+        machines = [
+            dataclasses.replace(MACH, mem=m) for m in (90.0, 150.0, 400.0, 700.0)
+        ]
+        addrs = cached_multiply_trace(
+            "strassen", "LH", 32, 8, MACH, store=TraceStore(enabled=False)
+        )
+        want = [simulate_hierarchy(addrs, m) for m in machines]
+
+        def stats(machine, on):
+            return cached_multiply_stats("strassen", "LH", 32, 8, machine, store=on)
+
+        assert stats(machines[0], store) == want[0]
+        assert stats(machines[0], store) == want[0]  # a stats hit chooses nothing
+        assert _path_choices() == (1, 0)
+        assert store.profile_misses == 0 and store.trace_misses == 1
+
+        assert stats(machines[1], store) == want[1]
+        assert _path_choices() == (1, 1)
+        assert store.profile_misses == 1 and store.trace_hits == 1
+
+        fresh = TraceStore(root=store.root, enabled=True)
+        assert stats(machines[2], fresh) == want[2]
+        assert _path_choices() == (1, 2)
+        assert fresh.profile_hits == 1 and fresh.profile_misses == 0
+        assert fresh.trace_hits == fresh.trace_misses == 0
+
+        off = TraceStore(root=store.root, enabled=False)
+        assert stats(machines[3], off) == want[3]
+        assert stats(machines[3], off) == want[3]
+        assert _path_choices() == (3, 2)
+        assert not any(off.counters().values())
+
+    def test_families_choose_independently(self, store, obs_on):
+        # Another L1 set count is another family over the same trace: its
+        # first miss streams although the first family's profile is warm.
+        other = dataclasses.replace(
+            MACH, l1=dataclasses.replace(MACH.l1, size=MACH.l1.size * 2)
+        )
+        for machine in (MACH, dataclasses.replace(MACH, mem=500.0), other):
+            cached_multiply_stats("standard", "LZ", 32, 8, machine, store=store)
+        assert _path_choices() == (2, 1)

@@ -188,13 +188,11 @@ class TestProfileVsStreaming:
         chunks = np.array_split(addresses, 7)
         assert prof.query(machine) == simulate_hierarchy_chunked(chunks, machine)
 
-    def test_multi_entrypoint_and_knob_off(self, monkeypatch):
+    def test_multi_entrypoint(self):
         rng = np.random.default_rng(19)
         addresses = (rng.integers(0, 1 << 12, 3000) * 8).astype(np.int64)
         machines = [family_machine(a, b, 8) for a in (1, 4) for b in (1, 2)]
         want = [simulate_hierarchy(addresses, m) for m in machines]
-        assert simulate_hierarchy_multi(addresses, machines) == want
-        monkeypatch.setenv("REPRO_MULTICONFIG", "0")
         assert simulate_hierarchy_multi(addresses, machines) == want
 
     def test_empty_trace(self):

@@ -13,14 +13,12 @@ import pytest
 
 from repro.layouts.registry import PAPER_LAYOUTS
 from repro.memsim.machine import scaled, ultrasparc_like
-from repro.memsim.store import cached_multiply_trace
 from repro.memsim.synthesis import (
     EventTable,
     SynthesisContext,
     UnsupportedSynthesis,
     expand_table,
     expand_table_chunks,
-    synthesis_enabled,
     synthesize_multiply,
 )
 from repro.memsim.trace import (
@@ -199,23 +197,10 @@ class TestUnsupportedFallback:
         with pytest.raises(UnsupportedSynthesis):
             synthesize_multiply("nosuch", "LZ", 16, 8)
 
-    def test_flag_gates_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_TRACE_SYNTHESIS", raising=False)
-        assert synthesis_enabled()
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "0")
-        assert not synthesis_enabled()
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "1")
-        assert synthesis_enabled()
+    def test_every_algorithm_has_a_spec(self):
+        """Synthesis is the only production trace source, so a dgemm
+        algorithm without a spec must fail here, not at sweep time."""
+        from repro.algorithms.dgemm import ALGORITHMS
+        from repro.memsim.synthesis import SPEC_BUILDERS
 
-    def test_store_builder_identical_on_and_off(self, monkeypatch, tmp_path):
-        from repro.memsim.store import TraceStore
-
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "1")
-        on = cached_multiply_trace(
-            "strassen", "LH", 24, 8, MACH, store=TraceStore(enabled=False)
-        )
-        monkeypatch.setenv("REPRO_TRACE_SYNTHESIS", "0")
-        off = cached_multiply_trace(
-            "strassen", "LH", 24, 8, MACH, store=TraceStore(enabled=False)
-        )
-        assert np.array_equal(on, off)
+        assert set(SPEC_BUILDERS) == set(ALGORITHMS)
