@@ -13,27 +13,30 @@ recursion, whose subtree is pure dgemm streaming with no temporaries.
 operation-count recurrences under a bandwidth-aware cost model (a
 streamed addition element costs several flops' worth of time).
 
-Implementation: the strassen/winograd modules expose their per-level
-spawn structure (``strassen_level`` / ``winograd_level``) parameterized
-by the product recursion, so the hybrid simply re-enters itself with
-one fewer fast level for each product.
+Implementation: each fast level runs the algorithm's level program
+(:data:`repro.algorithms.program.FAST_PROGRAMS`) through
+:func:`~repro.algorithms.program.run_level`, whose product recursion
+re-enters the hybrid with one fewer fast level.
 """
 
 from __future__ import annotations
 
 from repro.algorithms.opcount import op_count
+from repro.algorithms.program import FAST_PROGRAMS, run_level
 from repro.algorithms.recursion import Context, leaf_multiply
 from repro.algorithms.standard import standard_multiply
-from repro.algorithms.strassen import strassen_level
-from repro.algorithms.winograd import winograd_level
 from repro.matrix.tiledmatrix import MatrixView
 
 __all__ = ["hybrid_multiply", "default_fast_levels"]
 
-_LEVELS = {
-    "strassen": strassen_level,
-    "winograd": winograd_level,
-}
+
+def _program(fast: str):
+    try:
+        return FAST_PROGRAMS[fast]
+    except KeyError:
+        raise KeyError(
+            f"unknown fast algorithm {fast!r}; known: {sorted(FAST_PROGRAMS)}"
+        ) from None
 
 
 def default_fast_levels(
@@ -44,26 +47,20 @@ def default_fast_levels(
     Evaluates every candidate number of fast levels against the exact
     operation-count recurrences and returns the cheapest.
     """
-    if fast not in _LEVELS:
-        raise KeyError(f"unknown fast algorithm {fast!r}; known: {sorted(_LEVELS)}")
+    _program(fast)
     if n % tile:
         raise ValueError(f"n={n} not a multiple of tile={tile}")
     side = n // tile
     if side & (side - 1):
         raise ValueError(f"n/tile = {side} must be a power of two")
     d = side.bit_length() - 1
-    adds_per_level = {"strassen": 18, "winograd": 15}[fast]
 
     def cost(fast_levels: int) -> float:
+        # The fast levels are a fast multiply down to n >> fast_levels.
         sub = n >> fast_levels
-        total = float(7**fast_levels) * op_count("standard", sub, tile).multiply_flops
-        size, mults = n, 1
-        for _ in range(fast_levels):
-            half = size // 2
-            total += mults * adds_per_level * half * half * stream_cost
-            mults *= 7
-            size = half
-        return total
+        top = op_count(fast, n, sub)
+        flops = float(top.leaf_multiplies) * op_count("standard", sub, tile).multiply_flops
+        return flops + top.add_elements * stream_cost
 
     return min(range(d + 1), key=cost)
 
@@ -79,11 +76,9 @@ def hybrid_multiply(
 ) -> None:
     """``C (+)= A . B``: ``fast_levels`` of Strassen/Winograd, then standard."""
     ctx = ctx or Context()
-    if fast not in _LEVELS:
-        raise KeyError(f"unknown fast algorithm {fast!r}; known: {sorted(_LEVELS)}")
+    program = _program(fast)
     if fast_levels < 0:
         raise ValueError(f"fast_levels must be >= 0, got {fast_levels}")
-    level = _LEVELS[fast]
 
     def recurse(ctx_, c_, a_, b_, acc_, remaining: int) -> None:
         if c_.is_leaf:
@@ -96,6 +91,6 @@ def hybrid_multiply(
         def product_recursion(ctx__, p, x, y, acc__):
             recurse(ctx__, p, x, y, acc__, remaining - 1)
 
-        level(ctx_, c_, a_, b_, acc_, product_recursion)
+        run_level(program, ctx_, c_, a_, b_, acc_, product_recursion)
 
     recurse(ctx, c, a, b, accumulate, fast_levels)

@@ -7,12 +7,13 @@ the simulated runtimes all observe.  For a plain wall-clock ``dgemm``
 that per-tile dispatch, not arithmetic, dominates the run time.  This
 module runs the same arithmetic breadth-first.
 
-* **Level programs.**  Strassen and Winograd are declared once as a
-  :class:`LevelProgram`: their pre-additions, product operand pairs and
-  post-additions, in the order and with the temporaries of
-  ``strassen_level`` / ``winograd_level``.  The executor runs each step
-  once per recursion level over a *stack* of sub-problems, and every
-  leaf product of a stacked subtree becomes one batched ``np.matmul``.
+* **Level programs.**  Strassen and Winograd run from their
+  :class:`~repro.algorithms.program.LevelProgram`, the same table the
+  depth-first :func:`~repro.algorithms.program.run_level` interprets:
+  pre-additions, product operand pairs and post-additions, in program
+  order.  The executor runs each step once per recursion level over a
+  *stack* of sub-problems, and every leaf product of a stacked subtree
+  becomes one batched ``np.matmul``.
 * **Standard.**  The depth-first standard recursion (``mode="accumulate"``)
   adds the products of each leaf ``C`` tile in ascending ``k`` order, so
   here it is a loop over the ``2^d`` k-steps of the tile grid, each one
@@ -43,19 +44,16 @@ copies quadrants into fresh stacks, which changes the strides of
 
 from __future__ import annotations
 
-import dataclasses
 import functools
 import numpy as np
 
+from repro.algorithms.program import FAST_PROGRAMS, LevelProgram
 from repro.kernels import instrument
 from repro.layouts.base import RecursiveLayout, orientation_permutation
 from repro.matrix.tiledmatrix import DenseMatrix, TiledMatrix
 
 __all__ = [
-    "LevelProgram",
     "STACK_BUDGET_BYTES",
-    "STRASSEN",
-    "WINOGRAD",
     "multiply",
     "supports",
 ]
@@ -67,103 +65,11 @@ __all__ = [
 #: would only raise the peak above the depth-first executor's.
 STACK_BUDGET_BYTES = 4 << 20
 
-_QUADRANTS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-@dataclasses.dataclass(frozen=True)
-class LevelProgram:
-    """One recursion level of a seven-product algorithm, as data.
-
-    ``pre`` steps ``(dst, x, y, subtract)`` stream ``dst = x ± y`` into
-    a fresh quadrant temporary; ``products[p] = (x, y)`` is product
-    ``p{p+1} = x . y``; ``post`` steps ``(dst, terms, signs)`` either
-    combine into a C quadrant (``dst`` is ``c11``..``c22``, the
-    semantics of :func:`repro.algorithms.recursion.combine`) or stream
-    ``dst = terms[0] ± terms[1]`` into a fresh temporary.  Operand names
-    are the quadrants ``a11``..``b22``, earlier temporaries (whose
-    names must not start with ``a`` or ``b``), and the products
-    ``p1``..``p7``; each operand feeds one product.
-    """
-
-    pre: tuple[tuple[str, str, str, bool], ...]
-    products: tuple[tuple[str, str], ...]
-    post: tuple[tuple[str, tuple[str, ...], tuple[int, ...]], ...]
-
-    def post_temporaries(self) -> int:
-        """Post-addition temporaries (non-C destinations)."""
-        return sum(1 for dst, _, _ in self.post if not dst.startswith("c"))
-
-
-STRASSEN = LevelProgram(
-    pre=(
-        ("s1", "a11", "a22", False),
-        ("s2", "a21", "a22", False),
-        ("s3", "a11", "a12", False),
-        ("s4", "a21", "a11", True),
-        ("s5", "a12", "a22", True),
-        ("t1", "b11", "b22", False),
-        ("t2", "b12", "b22", True),
-        ("t3", "b21", "b11", True),
-        ("t4", "b11", "b12", False),
-        ("t5", "b21", "b22", False),
-    ),
-    products=(
-        ("s1", "t1"),
-        ("s2", "b11"),
-        ("a11", "t2"),
-        ("a22", "t3"),
-        ("s3", "b22"),
-        ("s4", "t4"),
-        ("s5", "t5"),
-    ),
-    post=(
-        ("c11", ("p1", "p4", "p5", "p7"), (1, 1, -1, 1)),
-        ("c21", ("p2", "p4"), (1, 1)),
-        ("c12", ("p3", "p5"), (1, 1)),
-        ("c22", ("p1", "p3", "p2", "p6"), (1, 1, -1, 1)),
-    ),
-)
-
-WINOGRAD = LevelProgram(
-    pre=(
-        ("s1", "a21", "a22", False),
-        ("s3", "a11", "a21", True),
-        ("t1", "b12", "b11", True),
-        ("t3", "b22", "b12", True),
-        ("s2", "s1", "a11", True),
-        ("t2", "b22", "t1", True),
-        ("s4", "a12", "s2", True),
-        ("t4", "b21", "t2", True),
-    ),
-    products=(
-        ("a11", "b11"),
-        ("a12", "b21"),
-        ("s1", "t1"),
-        ("s2", "t2"),
-        ("s3", "t3"),
-        ("s4", "b22"),
-        ("a22", "t4"),
-    ),
-    post=(
-        ("c11", ("p1", "p2"), (1, 1)),
-        ("u2", ("p1", "p4"), (1, 1)),
-        ("u3", ("u2", "p5"), (1, 1)),
-        ("u6", ("u2", "p3"), (1, 1)),
-        ("c21", ("u3", "p7"), (1, 1)),
-        ("c22", ("u3", "p3"), (1, 1)),
-        ("c12", ("u6", "p6"), (1, 1)),
-    ),
-)
-
-#: Level programs by algorithm name; ``standard`` runs as a k-step loop.
-PROGRAMS = {"strassen": STRASSEN, "winograd": WINOGRAD}
-
-
 def supports(algorithm: str, mode: str, layout: str, tile_dims: tuple[int, ...]) -> bool:
     """Whether :func:`multiply` reproduces the depth-first result exactly."""
     if algorithm == "standard":
         return mode == "accumulate"
-    if algorithm not in PROGRAMS:
+    if algorithm not in FAST_PROGRAMS:
         return False
     return layout != "LC" or min(tile_dims) > 1
 
@@ -265,22 +171,27 @@ def _stream(out: np.ndarray, x: np.ndarray, y: np.ndarray, subtract: bool) -> No
 
 class _Executor:
     def __init__(self, program: LevelProgram, ga, gb, gc, d: int, itemsize: int):
+        # Stacked product operands live in one slot per product, so an
+        # operand may feed only one product on each side.
+        for side in zip(*program.products):
+            if len(set(side)) != len(side):
+                raise ValueError(
+                    f"level program reuses a product operand {side}; "
+                    "the level-synchronous executor needs each to feed one product"
+                )
         self.program = program
         self.geoms = {"a": ga, "b": gb, "c": gc}
         self.grouped_levels = 0
         self.leaf_shape = (ga.t_r, ga.t_c, gb.t_c)
-        # Which operand's stacks ("a" or "b") each named operand lives in.
-        owner = {f"{s}{qi + 1}{qj + 1}": s for s in "ab" for qi, qj in _QUADRANTS}
-        for dst, x, _, _ in program.pre:
-            owner[dst] = owner[x]
-        self.owner = owner
+        # Which operand's stacks ("a" or "b") each pre-addition writes.
+        self.owner = {name: like[0] for name, like in program.pre_temporaries}
         self.x_slot = {x: p for p, (x, _) in enumerate(program.products)}
         self.y_slot = {y: p for p, (_, y) in enumerate(program.products)}
         # footprint[j]: bytes one sub-problem of grid order j allocates
         # when its whole subtree is stacked.
         n = len(program.products)
         per_quadrant = n * (ga.tile + gb.tile + gc.tile) + (
-            program.post_temporaries() * gc.tile
+            len(program.post_temporaries) * gc.tile
         )
         self.footprint = [0]
         for j in range(1, d + 1):
@@ -447,6 +358,6 @@ def multiply(
     if algorithm == "standard":
         _standard(ga, gb, gc, cs, as_, bs, d, accumulate)
         return 0
-    executor = _Executor(PROGRAMS[algorithm], ga, gb, gc, d, np.dtype(dtype).itemsize)
+    executor = _Executor(FAST_PROGRAMS[algorithm], ga, gb, gc, d, np.dtype(dtype).itemsize)
     executor.run(cs, as_, bs, d, accumulate)
     return executor.grouped_levels

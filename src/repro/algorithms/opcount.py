@@ -1,27 +1,31 @@
-"""Exact operation-count recurrences for the three algorithms.
+"""Exact operation-count recurrences for the recursive algorithms.
 
-Section 2 of the paper: the standard algorithm performs 8 recursive
-products and 4 quadrant additions per level (O(n^3) total); Strassen 7
-products and 18 additions (O(n^{lg 7})); Winograd 7 products and 15
-additions — the proven minimum for quadrant recursion.  These counters
-give exact totals for any (padded) problem size and leaf tile, used by
-the experiment drivers to convert measured times into achieved flop
-rates and to sanity-check the instrumentation counters.
+Section 2 of the paper: Strassen performs 7 recursive products and 18
+quadrant additions per level (O(n^{lg 7})), Winograd 7 products and 15
+additions — the proven minimum for quadrant recursion.  The standard
+algorithm performs 8 products; accumulating them straight into C
+(``mode="accumulate"``) needs no additions, while the paper's Figure
+1(a) form (``standard_temps``) adds 4 quadrant pairs per level.  Each
+level's counts come from its spawn blocks
+(:func:`repro.algorithms.program.level_blocks`): products, and
+streamed quadrant passes.  These counters give exact totals for any
+(padded) problem size and leaf tile, used by the experiment drivers to
+convert measured times into achieved flop rates and to sanity-check the
+instrumentation counters.
 """
 
 from __future__ import annotations
 
 import dataclasses
 
+from repro.algorithms.program import Block, level_blocks
+
 __all__ = ["OpCount", "op_count", "crossover_depth"]
 
-#: (recursive products, quadrant additions) per recursion level.
-_LEVEL_COUNTS = {
-    "standard": (8, 0),
-    "standard_temps": (8, 4),
-    "strassen": (7, 18),
-    "winograd": (7, 15),
-}
+
+def _counts(blocks: tuple[Block, ...]) -> tuple[int, int]:
+    """(recursive products, streamed quadrant passes) of one level."""
+    return sum(b.products for b in blocks), sum(sum(b.passes) for b in blocks)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -47,12 +51,8 @@ def op_count(algorithm: str, n: int, tile: int, accumulate: bool = False) -> OpC
     costs one extra streamed pass per post-addition chain (the per-level
     recurrences — the paper's 18/15/4 counts — assume overwrite).
     """
-    try:
-        products, adds = _LEVEL_COUNTS[algorithm]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {algorithm!r}; known: {sorted(_LEVEL_COUNTS)}"
-        ) from None
+    products, adds = _counts(level_blocks(algorithm))
+    top_adds = _counts(level_blocks(algorithm, accumulate))[1]
     if n % tile:
         raise ValueError(f"n={n} not a multiple of tile={tile}")
     side = n // tile
@@ -63,15 +63,12 @@ def op_count(algorithm: str, n: int, tile: int, accumulate: bool = False) -> OpC
     leaf_mults = 1
     add_elems = 0
     size = tile
-    for _ in range(d):
+    for level in range(d):
         # One level up: each current problem is a quadrant of size `size`.
-        add_elems = products * add_elems + adds * size * size
+        passes = top_adds if level == d - 1 else adds
+        add_elems = products * add_elems + passes * size * size
         leaf_mults *= products
         size *= 2
-    if accumulate and adds and d > 0:
-        # beta=1 at the top: one extra read-modify-write stream per C
-        # quadrant combine (4 quadrants of (n/2)^2 elements).
-        add_elems += 4 * (n // 2) ** 2
     return OpCount(
         leaf_multiplies=leaf_mults,
         multiply_flops=leaf_mults * 2 * tile**3,

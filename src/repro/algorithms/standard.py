@@ -9,13 +9,17 @@ Two spawn structures are provided:
 
 * ``mode="temps"`` — the paper's Figure 1(a) literally: all eight
   products spawned at once into quadrant-sized temporaries, followed by
-  four parallel post-additions.  More parallel slack, more memory; used
-  by the critical-path experiments.
+  four parallel post-additions (the level program
+  :data:`repro.algorithms.program.STANDARD_TEMPS`).  More parallel
+  slack, more memory; used by the critical-path experiments.
 """
 
 from __future__ import annotations
 
-from repro.algorithms.recursion import Context, combine, leaf_multiply
+from repro.algorithms.program import STANDARD_TEMPS, recurse
+# ``combine`` stays importable from here for callers that patch the
+# per-algorithm names.
+from repro.algorithms.recursion import Context, combine, leaf_multiply  # noqa: F401
 from repro.matrix.tiledmatrix import MatrixView
 
 __all__ = ["standard_multiply", "standard_level"]
@@ -31,79 +35,48 @@ def standard_multiply(
 ) -> None:
     """``C (+)= A . B`` by quadrant recursion with eight recursive products."""
     ctx = ctx or Context()
-    if mode not in ("accumulate", "temps"):
+    if mode == "temps":
+        recurse(STANDARD_TEMPS, ctx, c, a, b, accumulate)
+    elif mode == "accumulate":
+        _recurse(ctx, c, a, b, accumulate)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    _recurse(ctx, c, a, b, accumulate, mode)
 
 
-def _recurse(ctx: Context, c, a, b, accumulate: bool, mode: str) -> None:
+def _recurse(ctx: Context, c, a, b, accumulate: bool) -> None:
     if c.is_leaf:
         leaf_multiply(ctx, c, a, b, accumulate)
-        return
-
-    def product_recursion(ctx_, cq, aq, bq, acc):
-        _recurse(ctx_, cq, aq, bq, acc, mode)
-
-    standard_level(ctx, c, a, b, accumulate, mode, product_recursion)
+    else:
+        standard_level(ctx, c, a, b, accumulate, _recurse)
 
 
-def standard_level(ctx: Context, c, a, b, accumulate: bool, mode: str,
-                   product_recursion) -> None:
-    """One standard level; ``product_recursion(ctx, cq, aq, bq, accumulate)``
-    computes each of the eight products (same hook shape as
-    ``strassen_level`` / ``winograd_level``, used by the symbolic trace
-    synthesizer to intercept the recursion)."""
+def standard_level(ctx: Context, c, a, b, accumulate: bool, product_recursion) -> None:
+    """One ``mode="accumulate"`` level: two phases of four products
+    straight into the C quadrants.  ``product_recursion(ctx, cq, aq, bq,
+    accumulate)`` computes each product (the hook shape of
+    :func:`~repro.algorithms.program.run_level`, used by the symbolic
+    trace synthesizer to intercept the recursion)."""
     c11, c12, c21, c22 = c.quadrants()
     a11, a12, a21, a22 = a.quadrants()
     b11, b12, b21, b22 = b.quadrants()
-
-    if mode == "accumulate":
-        rec = lambda cq, aq, bq, acc: (  # noqa: E731 - local shorthand
-            lambda: product_recursion(ctx, cq, aq, bq, acc)
-        )
-        # Phase 1: the four "first" products, possibly overwriting C.
-        ctx.rt.spawn_all(
-            [
-                rec(c11, a11, b11, accumulate),
-                rec(c12, a11, b12, accumulate),
-                rec(c21, a21, b11, accumulate),
-                rec(c22, a21, b12, accumulate),
-            ]
-        )
-        # Phase 2: the four "second" products always accumulate.
-        ctx.rt.spawn_all(
-            [
-                rec(c11, a12, b21, True),
-                rec(c12, a12, b22, True),
-                rec(c21, a22, b21, True),
-                rec(c22, a22, b22, True),
-            ]
-        )
-        return
-
-    # mode == "temps": eight parallel products into temporaries P1..P8
-    # (paper's formulation), then four parallel post-additions.
-    pairs = [
-        (a11, b11),  # P1
-        (a12, b21),  # P2
-        (a21, b11),  # P3
-        (a22, b21),  # P4
-        (a11, b12),  # P5
-        (a12, b22),  # P6
-        (a21, b12),  # P7
-        (a22, b22),  # P8
-    ]
-    temps = [c11.alloc_like() for _ in pairs]
-
-    def product(p, aq, bq):
-        return lambda: product_recursion(ctx, p, aq, bq, False)
-
-    ctx.rt.spawn_all([product(p, aq, bq) for p, (aq, bq) in zip(temps, pairs)])
-    p1, p2, p3, p4, p5, p6, p7, p8 = temps
-    post = [
-        lambda: combine(ctx, c11, [p1, p2], [1, 1], accumulate),
-        lambda: combine(ctx, c21, [p3, p4], [1, 1], accumulate),
-        lambda: combine(ctx, c12, [p5, p6], [1, 1], accumulate),
-        lambda: combine(ctx, c22, [p7, p8], [1, 1], accumulate),
-    ]
-    ctx.rt.spawn_all(post)
+    rec = lambda cq, aq, bq, acc: (  # noqa: E731 - local shorthand
+        lambda: product_recursion(ctx, cq, aq, bq, acc)
+    )
+    # Phase 1: the four "first" products, possibly overwriting C.
+    ctx.rt.spawn_all(
+        [
+            rec(c11, a11, b11, accumulate),
+            rec(c12, a11, b12, accumulate),
+            rec(c21, a21, b11, accumulate),
+            rec(c22, a21, b12, accumulate),
+        ]
+    )
+    # Phase 2: the four "second" products always accumulate.
+    ctx.rt.spawn_all(
+        [
+            rec(c11, a12, b21, True),
+            rec(c12, a12, b22, True),
+            rec(c21, a22, b21, True),
+            rec(c22, a22, b22, True),
+        ]
+    )

@@ -1,24 +1,9 @@
 """Strassen's algorithm (paper Figure 1(b)): 7 products, 18 additions.
 
-Pre-additions build the quadrant-sized temporaries ``S1..S5`` (from A)
-and ``T1..T5`` (from B); the seven products ``P1..P7`` are spawned in
-parallel; post-additions combine them into the C quadrants::
-
-    S1 = A11+A22   T1 = B11+B22      P1 = S1.T1
-    S2 = A21+A22   T2 = B12-B22      P2 = S2.B11
-    S3 = A11+A12   T3 = B21-B11      P3 = A11.T2
-    S4 = A21-A11   T4 = B11+B12      P4 = A22.T3
-    S5 = A12-A22   T5 = B21+B22      P5 = S3.B22
-                                     P6 = S4.T4
-                                     P7 = S5.T5
-
-    C11 = P1+P4-P5+P7    C12 = P3+P5
-    C21 = P2+P4          C22 = P1+P3-P2+P6
-
-(The paper's figure prints ``S3 = A11 - A12``; expanding C11 with that
-sign leaves a spurious ``2 A12 B22`` term, so it must be the classic
-Strassen ``S3 = A11 + A12`` — we use the algebraically correct sign and
-the test suite verifies against dense numpy products.)
+One level is the level program :data:`repro.algorithms.program.STRASSEN`:
+ten independent pre-additions build the quadrant temporaries ``S1..S5``
+(from A) and ``T1..T5`` (from B), the seven products are spawned in
+parallel, and four post-addition chains combine them into C.
 
 The pre-additions are where the recursive layouts' orientation issues
 bite (e.g. ``A11 + A22`` mixes two orientations under L_G/L_H); the
@@ -34,7 +19,10 @@ compared to the standard algorithm.
 
 from __future__ import annotations
 
-from repro.algorithms.recursion import Context, combine, leaf_multiply, stream_add
+from repro.algorithms.program import STRASSEN, recurse
+# ``stream_add`` / ``combine`` stay importable from here for callers
+# that patch the per-algorithm names.
+from repro.algorithms.recursion import Context, combine, stream_add  # noqa: F401
 from repro.matrix.tiledmatrix import MatrixView
 
 __all__ = ["strassen_multiply"]
@@ -48,76 +36,5 @@ def strassen_multiply(
     accumulate: bool = True,
 ) -> None:
     """``C (+)= A . B`` with Strassen's 7-product recursion."""
-    ctx = ctx or Context()
-    _recurse(ctx, c, a, b, accumulate)
+    recurse(STRASSEN, ctx or Context(), c, a, b, accumulate)
 
-
-def _recurse(ctx: Context, c, a, b, accumulate: bool) -> None:
-    if c.is_leaf:
-        leaf_multiply(ctx, c, a, b, accumulate)
-        return
-    strassen_level(ctx, c, a, b, accumulate, _recurse)
-
-
-def strassen_level(ctx: Context, c, a, b, accumulate: bool, product_recursion) -> None:
-    """One Strassen level; ``product_recursion(ctx, p, x, y, accumulate)``
-    computes each of the seven products (used by the hybrid algorithm to
-    re-enter a different recursion below this level)."""
-    c11, c12, c21, c22 = c.quadrants()
-    a11, a12, a21, a22 = a.quadrants()
-    b11, b12, b21, b22 = b.quadrants()
-
-    # Pre-additions (10 independent streams, spawned in parallel).
-    s_like, t_like = a11, b11
-    s1 = s_like.alloc_like()
-    s2 = s_like.alloc_like()
-    s3 = s_like.alloc_like()
-    s4 = s_like.alloc_like()
-    s5 = s_like.alloc_like()
-    t1 = t_like.alloc_like()
-    t2 = t_like.alloc_like()
-    t3 = t_like.alloc_like()
-    t4 = t_like.alloc_like()
-    t5 = t_like.alloc_like()
-    ctx.rt.spawn_all(
-        [
-            lambda: stream_add(ctx, a11, a22, s1),
-            lambda: stream_add(ctx, a21, a22, s2),
-            lambda: stream_add(ctx, a11, a12, s3),
-            lambda: stream_add(ctx, a21, a11, s4, subtract=True),
-            lambda: stream_add(ctx, a12, a22, s5, subtract=True),
-            lambda: stream_add(ctx, b11, b22, t1),
-            lambda: stream_add(ctx, b12, b22, t2, subtract=True),
-            lambda: stream_add(ctx, b21, b11, t3, subtract=True),
-            lambda: stream_add(ctx, b11, b12, t4),
-            lambda: stream_add(ctx, b21, b22, t5),
-        ]
-    )
-
-    # Seven recursive products overwriting fresh temporaries (beta=0).
-    p = [c11.alloc_like() for _ in range(7)]
-    products = [
-        (s1, t1),  # P1
-        (s2, b11),  # P2
-        (a11, t2),  # P3
-        (a22, t3),  # P4
-        (s3, b22),  # P5
-        (s4, t4),  # P6
-        (s5, t5),  # P7
-    ]
-
-    def product(pk, x, y):
-        return lambda: product_recursion(ctx, pk, x, y, False)
-
-    ctx.rt.spawn_all([product(pk, x, y) for pk, (x, y) in zip(p, products)])
-    p1, p2, p3, p4, p5, p6, p7 = p
-
-    # Post-additions (4 independent chains, spawned in parallel).
-    ctx.rt.spawn_all(
-        [
-            lambda: combine(ctx, c11, [p1, p4, p5, p7], [1, 1, -1, 1], accumulate),
-            lambda: combine(ctx, c21, [p2, p4], [1, 1], accumulate),
-            lambda: combine(ctx, c12, [p3, p5], [1, 1], accumulate),
-            lambda: combine(ctx, c22, [p1, p3, p2, p6], [1, 1, -1, 1], accumulate),
-        ]
-    )

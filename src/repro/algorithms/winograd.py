@@ -2,33 +2,26 @@
 
 Winograd's variant attains the proven minimum operation count for
 quadrant-based recursive multiplication (7 multiplications, 15
-additions) by *reusing common subexpressions* — the S/T pre-addition
-chains and the U post-addition chains below.  The paper highlights that
+additions) by *reusing common subexpressions*: the S/T pre-addition
+chains and the U post-addition chain of the level program
+:data:`repro.algorithms.program.WINOGRAD`.  The paper highlights that
 this sharing is precisely what worsens its algorithmic locality relative
 to Strassen (Figure 1), which is why the two perform nearly identically
 despite Winograd's lower operation count.
 
-    S1 = A21+A22    T1 = B12-B11       P1 = A11.B11
-    S2 = S1 -A11    T2 = B22-T1        P2 = A12.B21
-    S3 = A11-A21    T3 = B22-B12       P3 = S1.T1
-    S4 = A12-S2     T4 = B21-T2        P4 = S2.T2
-                                       P5 = S3.T3
-                                       P6 = S4.B22
-                                       P7 = A22.T4
-
-    U1 = P1+P2 = C11      U2 = P1+P4       U3 = U2+P5
-    U4 = U3+P7 = C21      U5 = U3+P3 = C22
-    U6 = U2+P3            U7 = U6+P6 = C12
-
-The dependence chains (S1->S2->S4, T1->T2->T4, U2->U3->U4) force three
-sequential waves of pre-additions and of post-additions; the spawn
-structure below reflects that, and the critical-path recurrences in
-:mod:`repro.runtime.critical` account for it.
+The dependence chains (S1->S2->S4, T1->T2->T4, U2->U3->C21) force three
+sequential waves of pre-additions and of post-additions;
+:func:`~repro.algorithms.program.run_level` spawns them that way, and
+the critical-path recurrences in :mod:`repro.runtime.critical` follow
+from the same waves.
 """
 
 from __future__ import annotations
 
-from repro.algorithms.recursion import Context, combine, leaf_multiply, stream_add
+from repro.algorithms.program import WINOGRAD, recurse
+# ``stream_add`` / ``combine`` stay importable from here for callers
+# that patch the per-algorithm names.
+from repro.algorithms.recursion import Context, combine, stream_add  # noqa: F401
 from repro.matrix.tiledmatrix import MatrixView
 
 __all__ = ["winograd_multiply"]
@@ -42,93 +35,5 @@ def winograd_multiply(
     accumulate: bool = True,
 ) -> None:
     """``C (+)= A . B`` with Winograd's 7-product / 15-addition recursion."""
-    ctx = ctx or Context()
-    _recurse(ctx, c, a, b, accumulate)
+    recurse(WINOGRAD, ctx or Context(), c, a, b, accumulate)
 
-
-def _recurse(ctx: Context, c, a, b, accumulate: bool) -> None:
-    if c.is_leaf:
-        leaf_multiply(ctx, c, a, b, accumulate)
-        return
-    winograd_level(ctx, c, a, b, accumulate, _recurse)
-
-
-def winograd_level(ctx: Context, c, a, b, accumulate: bool, product_recursion) -> None:
-    """One Winograd level; ``product_recursion(ctx, p, x, y, accumulate)``
-    computes each of the seven products (hybrid hook, as in strassen)."""
-    c11, c12, c21, c22 = c.quadrants()
-    a11, a12, a21, a22 = a.quadrants()
-    b11, b12, b21, b22 = b.quadrants()
-
-    s1 = a11.alloc_like()
-    s2 = a11.alloc_like()
-    s3 = a11.alloc_like()
-    s4 = a11.alloc_like()
-    t1 = b11.alloc_like()
-    t2 = b11.alloc_like()
-    t3 = b11.alloc_like()
-    t4 = b11.alloc_like()
-
-    # Pre-additions: three waves forced by the S/T chains.
-    ctx.rt.spawn_all(
-        [
-            lambda: stream_add(ctx, a21, a22, s1),
-            lambda: stream_add(ctx, a11, a21, s3, subtract=True),
-            lambda: stream_add(ctx, b12, b11, t1, subtract=True),
-            lambda: stream_add(ctx, b22, b12, t3, subtract=True),
-        ]
-    )
-    ctx.rt.spawn_all(
-        [
-            lambda: stream_add(ctx, s1, a11, s2, subtract=True),
-            lambda: stream_add(ctx, b22, t1, t2, subtract=True),
-        ]
-    )
-    ctx.rt.spawn_all(
-        [
-            lambda: stream_add(ctx, a12, s2, s4, subtract=True),
-            lambda: stream_add(ctx, b21, t2, t4, subtract=True),
-        ]
-    )
-
-    # Seven parallel recursive products overwriting fresh temporaries.
-    p = [c11.alloc_like() for _ in range(7)]
-    products = [
-        (a11, b11),  # P1
-        (a12, b21),  # P2
-        (s1, t1),  # P3
-        (s2, t2),  # P4
-        (s3, t3),  # P5
-        (s4, b22),  # P6
-        (a22, t4),  # P7
-    ]
-
-    def product(pk, x, y):
-        return lambda: product_recursion(ctx, pk, x, y, False)
-
-    ctx.rt.spawn_all([product(pk, x, y) for pk, (x, y) in zip(p, products)])
-    p1, p2, p3, p4, p5, p6, p7 = p
-
-    # Post-additions: C11 is independent; the U chain serializes the rest.
-    u2 = c11.alloc_like()
-    u3 = c11.alloc_like()
-    u6 = c11.alloc_like()
-    ctx.rt.spawn_all(
-        [
-            lambda: combine(ctx, c11, [p1, p2], [1, 1], accumulate),
-            lambda: stream_add(ctx, p1, p4, u2),
-        ]
-    )
-    ctx.rt.spawn_all(
-        [
-            lambda: stream_add(ctx, u2, p5, u3),
-            lambda: stream_add(ctx, u2, p3, u6),
-        ]
-    )
-    ctx.rt.spawn_all(
-        [
-            lambda: combine(ctx, c21, [u3, p7], [1, 1], accumulate),
-            lambda: combine(ctx, c22, [u3, p3], [1, 1], accumulate),
-            lambda: combine(ctx, c12, [u6, p6], [1, 1], accumulate),
-        ]
-    )

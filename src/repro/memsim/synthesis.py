@@ -10,7 +10,8 @@ per-quadrant base offset.  This module exploits that in two stages:
 1. **Symbolic descent** — the recursion runs over *region descriptors*
    (:class:`SymQuadView` / :class:`SymDenseView`): no buffer is
    allocated, no flop is spent.  The algorithms' own per-level spawn
-   functions (``standard_level`` / ``strassen_level`` / ...) drive the
+   functions (:func:`~repro.algorithms.program.run_level` over each
+   level program, ``standard_level``, ``strassen_space_level``) drive the
    descent through a descriptor-only :class:`~repro.algorithms.recursion.Context`
    (``executes = False``), so the event *sequence* is the executed
    path's by construction.
@@ -41,11 +42,10 @@ import dataclasses
 import numpy as np
 
 from repro import obs
+from repro.algorithms.program import PROGRAMS, run_level
 from repro.algorithms.recursion import Context, leaf_multiply
 from repro.algorithms.spacesaving import strassen_space_level
 from repro.algorithms.standard import standard_level
-from repro.algorithms.strassen import strassen_level
-from repro.algorithms.winograd import winograd_level
 from repro.layouts.base import RecursiveLayout
 from repro.layouts.registry import get_recursive_layout
 from repro.matrix.tile import Tiling, matmul_tiling_for_fixed_tile
@@ -533,41 +533,32 @@ def expand_level(ctx: Context, spec: tuple, c, a, b, accumulate: bool, descend) 
     driver so every task is materialized in the SP tree.
     """
     name = spec[0]
-    if name == "standard":
-        mode = spec[1]
+    if spec == ("standard", "accumulate"):
         standard_level(
-            ctx, c, a, b, accumulate, mode,
+            ctx, c, a, b, accumulate,
             lambda ctx_, cq, aq, bq, acc: descend(ctx_, spec, cq, aq, bq, acc),
         )
-    elif name == "strassen":
-        strassen_level(
-            ctx, c, a, b, accumulate,
-            lambda ctx_, p, x, y, acc: descend(ctx_, spec, p, x, y, acc),
-        )
-    elif name == "winograd":
-        winograd_level(
-            ctx, c, a, b, accumulate,
-            lambda ctx_, p, x, y, acc: descend(ctx_, spec, p, x, y, acc),
-        )
-    elif name == "strassen_space":
+        return
+    if name == "strassen_space":
         strassen_space_level(
             ctx, c, a, b,
             lambda ctx_, p, x, y: descend(ctx_, spec, p, x, y, True),
         )
-    elif name == "hybrid":
-        fast, remaining = spec[1], spec[2]
+        return
+    child = spec
+    if name == "hybrid":
+        name, remaining = spec[1], spec[2]
         # One fewer fast level below; at zero the subtree is exactly the
         # standard recursion, so key it as such (shares templates).
-        child = ("hybrid", fast, remaining - 1) if remaining > 1 else (
+        child = ("hybrid", name, remaining - 1) if remaining > 1 else (
             "standard", "accumulate"
         )
-        level = strassen_level if fast == "strassen" else winograd_level
-        level(
-            ctx, c, a, b, accumulate,
-            lambda ctx_, p, x, y, acc: descend(ctx_, child, p, x, y, acc),
-        )
-    else:  # pragma: no cover - _spec_for rejects unknown names first
-        raise UnsupportedSynthesis(name)
+    elif name == "standard":  # mode="temps"
+        name = "standard_temps"
+    run_level(
+        PROGRAMS[name], ctx, c, a, b, accumulate,
+        lambda ctx_, p, x, y, acc: descend(ctx_, child, p, x, y, acc),
+    )
 
 
 def _descend(ctx: SynthesisContext, spec: tuple, c, a, b, accumulate: bool) -> None:

@@ -7,7 +7,7 @@ from repro.runtime.cilk import (
     ThreadRuntime,
     TraceRuntime,
 )
-from repro.runtime.critical import ALGORITHM_RECURRENCES, WorkSpan, work_span
+from repro.runtime.critical import WorkSpan, work_span
 from repro.runtime.scheduler import (
     ScheduleResult,
     greedy_makespan,
@@ -30,7 +30,6 @@ __all__ = [
     "SerialRuntime",
     "ThreadRuntime",
     "TraceRuntime",
-    "ALGORITHM_RECURRENCES",
     "WorkSpan",
     "work_span",
     "ScheduleResult",

@@ -5,34 +5,37 @@ path tracking, that at n = 1000 the standard algorithm has enough
 parallelism to keep about 40 processors busy and the fast algorithms
 about 23.  These recurrences compute work ``T_1`` and span ``T_inf``
 under the runtime :class:`~repro.runtime.cilk.CostModel` for any depth,
-without materializing the (enormous) DAG:
+without materializing the (enormous) DAG.
 
-standard (two accumulation phases of four parallel products each)::
+One recursion level is a sequence of spawn...sync blocks
+(:func:`repro.algorithms.program.level_blocks`, derived from the
+algorithm's level program).  A block spawns ``p`` recursive products
+and streamed tasks of ``m_1, m_2, ...`` quadrant passes; each spawned
+task costs ``s`` (``CostModel.spawn``) before it runs.  Summing the
+blocks::
 
-    T_1(d)   = 8 T_1(d-1)
-    T_inf(d) = 2 T_inf(d-1)
+    T_1(d)   = sum_blocks  p (s + T_1(d-1)) + sum_k (s + m_k A(d-1))
+    T_inf(d) = sum_blocks  s + max(T_inf(d-1) if p, max_k m_k A(d-1))
 
-standard with temporaries (paper Figure 1(a): 8 parallel products into
-temporaries, then 4 parallel quadrant additions)::
+with ``T_1(0) = T_inf(0)`` one leaf multiply and ``A(d)`` the streaming
+cost of one quadrant-sized pass at recursion level ``d``.  For the four
+algorithms this gives:
 
-    T_1(d)   = 8 T_1(d-1) + 8 A(d-1)
-    T_inf(d) = T_inf(d-1) + A(d-1)
+=================  ==================================  ===============================
+algorithm          T_1(d)                              T_inf(d)
+=================  ==================================  ===============================
+standard           8 T_1 + 8 s                         2 T_inf + 2 s
+standard_temps     8 T_1 + 4 A + 12 s                  T_inf + A + 2 s
+strassen           7 T_1 + 18 A + 21 s                 T_inf + 4 A + 3 s
+winograd           7 T_1 + 15 A + 22 s                 T_inf + 6 A + 7 s
+=================  ==================================  ===============================
 
-Strassen (10 parallel pre-additions, 7 parallel products, post-additions
-with a 2-long chain on C11/C22)::
-
-    T_1(d)   = 7 T_1(d-1) + 18 A(d-1)
-    T_inf(d) = T_inf(d-1) + 3 A(d-1)
-
-Winograd (8 pre-additions with a 2-chain (S2 then S4 / T2 then T4),
-7 parallel products, 15 post-additions with a 3-chain through the U
-terms)::
-
-    T_1(d)   = 7 T_1(d-1) + 15 A(d-1)
-    T_inf(d) = T_inf(d-1) + 5 A(d-1)
-
-where ``A(d)`` is the streaming cost of one quadrant-sized addition at
-recursion level ``d``.  Parallelism is ``T_1 / T_inf``.
+Strassen's chain is one pre-addition wave then the three passes of the
+C11/C22 combines; Winograd's is three pre-addition waves (S1, S2, S4)
+and three post-addition waves (U2, U3, C21).  The recurrences equal the
+SP tree that :class:`~repro.runtime.cilk.TraceRuntime` records with C
+overwritten (``accumulate=False``), exactly.  Parallelism is
+``T_1 / T_inf``.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ import dataclasses
 
 from repro.runtime.cilk import CostModel
 
-__all__ = ["WorkSpan", "work_span", "ALGORITHM_RECURRENCES"]
+__all__ = ["WorkSpan", "work_span"]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -61,19 +64,6 @@ class WorkSpan:
         return self.work / (self.work / p + self.span)
 
 
-#: Per-level recurrence terms per algorithm: ``products`` recursive
-#: sub-multiplies, ``adds`` quadrant additions (pre and post together),
-#: ``chain`` the longest dependence chain among those additions in units
-#: of one quadrant addition, and ``phases`` the sequential rounds of
-#: sub-multiplies on the span (standard accumulates into C in two).
-ALGORITHM_RECURRENCES = {
-    "standard": dict(products=8, adds=0, chain=0, phases=2),
-    "standard_temps": dict(products=8, adds=8, chain=1, phases=1),
-    "strassen": dict(products=7, adds=18, chain=3, phases=1),
-    "winograd": dict(products=7, adds=15, chain=5, phases=1),
-}
-
-
 def work_span(
     algorithm: str,
     n: int,
@@ -85,13 +75,11 @@ def work_span(
     ``n`` must be ``tile * 2^d``; use padded sizes.  The recursion depth
     is ``d``; leaves are dense ``tile^3`` multiplies.
     """
+    # Imported here: the algorithms import the runtime package.
+    from repro.algorithms.program import level_blocks
+
     cm = cost_model or CostModel()
-    try:
-        spec = ALGORITHM_RECURRENCES[algorithm]
-    except KeyError:
-        raise KeyError(
-            f"unknown algorithm {algorithm!r}; known: {sorted(ALGORITHM_RECURRENCES)}"
-        ) from None
+    blocks = level_blocks(algorithm)
     if n % tile:
         raise ValueError(f"n={n} not a multiple of tile={tile}")
     side = n // tile
@@ -99,18 +87,19 @@ def work_span(
         raise ValueError(f"n/tile = {side} must be a power of two")
     d = side.bit_length() - 1
 
-    leaf_mul = cm.multiply(tile, tile, tile)
-    work = leaf_mul
-    span = leaf_mul + cm.spawn
+    work = span = cm.multiply(tile, tile, tile)
     for level in range(1, d + 1):
         half = tile << (level - 1)  # quadrant side at this level
         add_cost = cm.streamed(half * half)
-        p = spec["products"]
-        spawn_overhead = cm.spawn * (p + spec["adds"])
-        work = p * work + spec["adds"] * add_cost + spawn_overhead
-        span = (
-            spec["phases"] * span
-            + spec["chain"] * (add_cost + cm.spawn)
-            + cm.spawn
-        )
+        level_work = level_span = 0.0
+        for block in blocks:
+            streams = [m * add_cost for m in block.passes]
+            level_work += (
+                block.products * (cm.spawn + work)
+                + len(streams) * cm.spawn
+                + sum(streams)
+            )
+            longest = max(streams, default=0.0)
+            level_span += cm.spawn + (max(span, longest) if block.products else longest)
+        work, span = level_work, level_span
     return WorkSpan(work=work, span=span)

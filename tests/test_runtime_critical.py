@@ -3,7 +3,8 @@
 import pytest
 
 from repro.runtime.cilk import CostModel, TraceRuntime
-from repro.runtime.critical import ALGORITHM_RECURRENCES, WorkSpan, work_span
+from repro.algorithms.program import PROGRAMS
+from repro.runtime.critical import WorkSpan, work_span
 from repro.runtime.task import span as tree_span
 from repro.runtime.task import work as tree_work
 
@@ -53,7 +54,7 @@ class TestRecurrences:
         assert out["strassen"] / out["winograd"] < 4
 
     def test_all_have_ample_parallelism_for_4(self):
-        for algo in ALGORITHM_RECURRENCES:
+        for algo in ("standard", *PROGRAMS):
             ws = work_span(algo, 1024, 32)
             assert ws.speedup(4) > 3.5, algo
 
@@ -67,25 +68,39 @@ class TestRecurrences:
 
 
 class TestAgainstTrace:
-    """The closed-form recurrences must match the traced SP tree."""
+    """The closed-form recurrences must equal the traced SP tree."""
 
-    @pytest.mark.parametrize("algo", ["standard", "strassen", "winograd"])
+    @pytest.mark.parametrize(
+        "algo", ["standard", "standard_temps", "strassen", "winograd"]
+    )
     def test_work_matches_trace(self, algo):
         from repro.algorithms.dgemm import ALGORITHMS
         from repro.algorithms.recursion import Context
         from repro.matrix.tiledmatrix import TiledMatrix
 
-        n, t, d = 64, 8, 3
-        cm = CostModel(flop=1.0, stream=4.0, spawn=0.0)
-        rt = TraceRuntime(cm)
-        c = TiledMatrix.zeros("LZ", d, t, t)
-        a = TiledMatrix.zeros("LZ", d, t, t)
-        b = TiledMatrix.zeros("LZ", d, t, t)
-        ALGORITHMS[algo](c.root_view(), a.root_view(), b.root_view(), Context(rt),
-                         accumulate=False)
-        traced = tree_work(rt.root)
-        analytic = work_span(algo, n, t, cm).work
-        assert traced == pytest.approx(analytic, rel=0.05), algo
+        name, kw = (("standard", {"mode": "temps"}) if algo == "standard_temps"
+                    else (algo, {}))
+        t = 8
+        for spawn in (0.0, 50.0):
+            cm = CostModel(flop=1.0, stream=4.0, spawn=spawn)
+            for d in range(4):
+                rt = TraceRuntime(cm)
+                c, a, b = (TiledMatrix.zeros("LZ", d, t, t) for _ in range(3))
+                ALGORITHMS[name](c.root_view(), a.root_view(), b.root_view(),
+                                 Context(rt), accumulate=False, **kw)
+                analytic = work_span(algo, t << d, t, cm)
+                where = (algo, spawn, d)
+                assert tree_work(rt.root) == pytest.approx(analytic.work, rel=1e-12), where
+                assert tree_span(rt.root) == pytest.approx(analytic.span, rel=1e-12), where
+
+    def test_critical_rows(self):
+        # E7 at n=1024, t=32 under the default cost model.
+        got = {
+            a: round(work_span(a, 1024, 32).parallelism)
+            for a in ("standard", "standard_temps", "strassen", "winograd")
+        }
+        assert got == {"standard": 1023, "standard_temps": 1559,
+                       "strassen": 264, "winograd": 169}
 
     def test_standard_span_matches_trace_exactly(self):
         from repro.algorithms.standard import standard_multiply

@@ -28,9 +28,9 @@ class TestDagVsAnalytic:
         tree = _traced(algorithm, d=3, tile=8, cost_model=cm)
         analytic = work_span(algorithm, 64, 8, cm)
         assert work(tree) == pytest.approx(analytic.work, rel=1e-12)
-        # Span recurrence approximates the chain structure; the traced
-        # tree is ground truth — they must agree within ~40%.
-        assert span(tree) == pytest.approx(analytic.span, rel=0.4)
+        # The recurrences follow the level program's spawn blocks, so
+        # the span agrees with the traced tree exactly too.
+        assert span(tree) == pytest.approx(analytic.span, rel=1e-12)
 
     def test_dag_makespan_bounded_by_tree_span(self):
         tree = _traced("strassen", d=2)
